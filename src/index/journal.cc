@@ -6,6 +6,7 @@
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -44,6 +45,19 @@ std::uint64_t FnvOf(const std::string& payload) {
   Checksum sum;
   sum.Update(payload.data(), payload.size());
   return sum.value();
+}
+
+/// The 24-byte file header for `base_sequence`.
+std::string HeaderBytes(std::uint64_t base_sequence) {
+  Checksum sum;
+  sum.Update(kJournalMagic, sizeof(kJournalMagic));
+  sum.Update(&base_sequence, sizeof(base_sequence));
+  const std::uint64_t checksum = sum.value();
+  std::string header(kJournalMagic, sizeof(kJournalMagic));
+  header.append(reinterpret_cast<const char*>(&base_sequence),
+                sizeof(base_sequence));
+  header.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return header;
 }
 
 /// In-memory payload encoder: records are assembled fully before any byte
@@ -212,7 +226,7 @@ void WriteAheadJournal::StartFlusher() {
   const util::Status submitted =
       flusher_->TrySubmit([this](std::size_t) { FlusherLoop(); });
   // A fresh 1-slot pool cannot refuse; if it somehow does, group mode
-  // degrades to syncing on Truncate()/Sync()/shutdown only — still within
+  // degrades to syncing on Rebase()/Sync()/shutdown only — still within
   // kGroup's documented power-loss window semantics, never losing
   // kernel-flushed records to SIGKILL.
   if (!submitted.ok()) flusher_.reset();
@@ -254,7 +268,7 @@ JournalStats WriteAheadJournal::stats_snapshot() const {
 
 util::Result<std::unique_ptr<WriteAheadJournal>> WriteAheadJournal::Open(
     const JournalOptions& options, rdf::TermDictionary* dict,
-    const ReplayFn& replay) {
+    const ReplayFn& replay, std::uint64_t watermark) {
   if (options.path.empty()) {
     return util::Status::InvalidArgument("journal path is empty");
   }
@@ -273,34 +287,22 @@ util::Result<std::unique_ptr<WriteAheadJournal>> WriteAheadJournal::Open(
   }
   std::unique_ptr<WriteAheadJournal> journal(
       new WriteAheadJournal(options, file));  // NOLINT(raw-new): private ctor
-  RDFC_RETURN_NOT_OK(journal->ReplayAndRecover(dict, replay));
+  RDFC_RETURN_NOT_OK(journal->ReplayAndRecover(dict, replay, watermark));
+  if (!journal->stats_.degraded &&
+      journal->stats_.last_sequence < watermark) {
+    // The checkpoint covers more than the journal holds (a fresh journal, or
+    // one reset by a corrupt header): continue its sequence past the
+    // watermark, so replay after the next restart skips nothing it should
+    // apply.
+    RDFC_RETURN_NOT_OK(journal->Rebase(watermark));
+  }
   if (options.fsync == JournalFsync::kGroup) journal->StartFlusher();
   return journal;
 }
 
-util::Status WriteAheadJournal::WriteHeader(std::uint64_t base_sequence) {
-  RDFC_RETURN_NOT_OK(TruncateTo(file_, 0));
-  Checksum sum;
-  sum.Update(kJournalMagic, sizeof(kJournalMagic));
-  sum.Update(&base_sequence, sizeof(base_sequence));
-  const std::uint64_t checksum = sum.value();
-  bool ok = std::fwrite(kJournalMagic, 1, sizeof(kJournalMagic), file_) ==
-            sizeof(kJournalMagic);
-  ok = ok && std::fwrite(&base_sequence, 1, sizeof(base_sequence), file_) ==
-                 sizeof(base_sequence);
-  ok = ok && std::fwrite(&checksum, 1, sizeof(checksum), file_) ==
-                 sizeof(checksum);
-  if (!ok || std::fflush(file_) != 0) {
-    return util::Status::Internal("journal header write failed: " +
-                                  options_.path);
-  }
-  end_offset_ = kHeaderBytes;
-  stats_.last_sequence = base_sequence;
-  return util::Status::OK();
-}
-
 util::Status WriteAheadJournal::ReplayAndRecover(rdf::TermDictionary* dict,
-                                                 const ReplayFn& replay) {
+                                                 const ReplayFn& replay,
+                                                 std::uint64_t watermark) {
   if (std::fseek(file_, 0, SEEK_END) != 0) {
     return util::Status::Internal("journal seek failed: " + options_.path);
   }
@@ -308,10 +310,10 @@ util::Status WriteAheadJournal::ReplayAndRecover(rdf::TermDictionary* dict,
   const std::uint64_t size = end > 0 ? static_cast<std::uint64_t>(end) : 0;
   std::rewind(file_);
 
-  // Header: absent (fresh file) or corrupt both reset to a fresh journal.
-  // Only Truncate() rewrites the header, and its caller has already
-  // committed a covering image, so a corrupt header can only cost records a
-  // crashed Truncate() was about to drop anyway.
+  // Header: absent (fresh file) or corrupt both reset to an empty journal
+  // based at the watermark.  Headers are only ever replaced by an atomic
+  // rename, so a corrupt one is media damage and the records behind it
+  // cannot be trusted.
   bool header_ok = size >= kHeaderBytes;
   std::uint64_t base_sequence = 0;
   if (header_ok) {
@@ -332,13 +334,16 @@ util::Status WriteAheadJournal::ReplayAndRecover(rdf::TermDictionary* dict,
   }
   if (!header_ok) {
     stats_.truncated_bytes += size;
-    return WriteHeader(0);
+    stats_.last_sequence = watermark;
+    return ReplaceFile(watermark, "");
   }
+  base_sequence_ = base_sequence;
   stats_.last_sequence = base_sequence;
 
-  // Record scan: each record must be fully present, checksum-clean,
-  // structurally parseable, and carry the next sequence number; the first
-  // violation ends the journal there.
+  // Record scan: each record must be fully present, checksum-clean, carry
+  // the next sequence number, and — past the watermark — parse; the first
+  // violation ends the journal there.  Records at or below the watermark are
+  // already in the checkpoint's bases, so they are never decoded.
   std::uint64_t offset = kHeaderBytes;
   bool torn = false;
   while (offset < size) {
@@ -363,9 +368,20 @@ util::Status WriteAheadJournal::ReplayAndRecover(rdf::TermDictionary* dict,
       torn = true;
       break;
     }
+    std::uint64_t sequence = 0;
+    std::memcpy(&sequence, payload.data(), sizeof(sequence));
+    if (FnvOf(payload) != stored_sum ||
+        sequence != stats_.last_sequence + 1) {
+      torn = true;
+      break;
+    }
+    if (sequence <= watermark) {
+      offset += kRecordPrefixBytes + payload_len;
+      stats_.last_sequence = sequence;
+      continue;
+    }
     JournalBatch batch;
-    if (FnvOf(payload) != stored_sum || !DecodeBatch(payload, dict, &batch) ||
-        batch.sequence != stats_.last_sequence + 1) {
+    if (!DecodeBatch(payload, dict, &batch)) {
       torn = true;
       break;
     }
@@ -492,28 +508,92 @@ util::Status WriteAheadJournal::Sync() {
   return util::Status::OK();
 }
 
-util::Status WriteAheadJournal::Truncate() {
+util::Status WriteAheadJournal::Rebase(std::uint64_t watermark) {
   if (stats_.degraded) {
     return util::Status::Internal(
-        "refusing to truncate a degraded journal (unreplayed records)");
+        "refusing to rebase a degraded journal (unreplayed records)");
   }
-  RDFC_RETURN_NOT_OK(WriteHeader(stats_.last_sequence));
-#if defined(__unix__) || defined(__APPLE__)
-  // The new header must be durable before the caller deletes or overwrites
-  // the image that now covers the dropped records.
-  if (fsync(fd_) != 0) {
-    return util::Status::Internal("journal fsync failed: " + options_.path);
+  if (watermark <= base_sequence_) return util::Status::OK();
+  // Walk past the covered records at the head; the rest is the kept tail.
+  std::uint64_t offset = kHeaderBytes;
+  bool ok = std::fflush(file_) == 0;
+  for (std::uint64_t seq = base_sequence_;
+       ok && seq < std::min(watermark, stats_.last_sequence); ++seq) {
+    std::uint32_t payload_len = 0;
+    ok = std::fseek(file_, static_cast<long>(offset), SEEK_SET) == 0 &&
+         std::fread(&payload_len, 1, sizeof(payload_len), file_) ==
+             sizeof(payload_len);
+    offset += kRecordPrefixBytes + payload_len;
   }
-#endif
-  util::MutexLock lock(&flush_mu_);
-  flush_dirty_ = false;
+  ok = ok && offset <= end_offset_;
+  std::string tail(ok ? end_offset_ - offset : 0, '\0');
+  ok = ok && std::fseek(file_, static_cast<long>(offset), SEEK_SET) == 0 &&
+       std::fread(tail.data(), 1, tail.size(), file_) == tail.size();
+  if (!ok) {
+    return util::Status::Internal("journal rebase read failed: " +
+                                  options_.path);
+  }
+  const std::uint64_t last = std::max(stats_.last_sequence, watermark);
+  RDFC_RETURN_NOT_OK(ReplaceFile(watermark, tail));
+  stats_.last_sequence = last;
   return util::Status::OK();
+}
+
+util::Status WriteAheadJournal::ReplaceFile(std::uint64_t base_sequence,
+                                            const std::string& records) {
+#if defined(__unix__) || defined(__APPLE__)
+  // The new file is complete and durable before the rename makes it the
+  // journal, so a crash leaves either the old file or the new one.
+  const std::string bytes = HeaderBytes(base_sequence) + records;
+  const std::string tmp_path = options_.path + ".tmp";
+  const int tmp_fd =
+      ::open(tmp_path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  if (tmp_fd < 0) return util::Status::Internal("cannot create " + tmp_path);
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n =
+        ::write(tmp_fd, bytes.data() + written, bytes.size() - written);
+    if (n <= 0) break;
+    written += static_cast<std::size_t>(n);
+  }
+  if (written != bytes.size() || fsync(tmp_fd) != 0 ||
+      std::rename(tmp_path.c_str(), options_.path.c_str()) != 0) {
+    (void)::close(tmp_fd);
+    (void)std::remove(tmp_path.c_str());
+    return util::Status::Internal("journal rewrite failed: " + options_.path);
+  }
+  const std::size_t slash = options_.path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : options_.path.substr(0, slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY);
+  if (dir_fd >= 0) {
+    (void)fsync(dir_fd);  // best effort: make the rename itself durable
+    (void)::close(dir_fd);
+  }
+  // Move the open handle onto the new file under the same fd number — the
+  // group-commit flusher's only handle — then re-sync the FILE position.
+  const bool switched = dup2(tmp_fd, fd_) == fd_;
+  (void)::close(tmp_fd);
+  if (!switched ||
+      std::fseek(file_, static_cast<long>(bytes.size()), SEEK_SET) != 0) {
+    stats_.degraded = true;  // the handle no longer names the journal file
+    return util::Status::Internal("journal reopen failed: " + options_.path);
+  }
+  end_offset_ = bytes.size();
+  base_sequence_ = base_sequence;
+  util::MutexLock lock(&flush_mu_);
+  flush_dirty_ = false;  // the whole new file was fsynced above
+  return util::Status::OK();
+#else
+  return util::Status::Unsupported("journal rewrite requires POSIX");
+#endif
 }
 
 void WriteAheadJournal::RollBackTo(std::uint64_t length) {
   // Best effort: a failed rollback leaves a record recovery would replay
-  // even though the publish was not acknowledged — replay is idempotent, so
-  // that is a liveness wart, not a soundness hole.
+  // although its publish was not acknowledged.  Its batch is still staged
+  // and normally retried, so that is a liveness wart; it never loses an
+  // acknowledged record.
   (void)TruncateTo(file_, length).ok();
 }
 

@@ -52,7 +52,7 @@ struct JournalOp {
 };
 
 /// One acknowledged Publish batch: a dense sequence number (strictly
-/// monotone per journal, surviving truncation via the header base), the
+/// monotone per journal, surviving rebases via the header base), the
 /// snapshot version the batch produced, and the staged ops in stage order.
 struct JournalBatch {
   std::uint64_t sequence = 0;
@@ -85,13 +85,19 @@ struct JournalStats {
 /// followed by u32 num_triples and each triple as three terms of
 /// u8 TermKind + u32 len + lexical bytes.
 ///
+/// The journal is the only durable form of un-frozen state.  A checkpoint
+/// (index/persistence.h) holds frozen bases that cover every record up to a
+/// sequence watermark W; Open() skips records with sequence <= W and replays
+/// the rest, and Rebase(W) then drops the covered records from the file.
+///
 /// Open() scans the file, replaying every record whose length, checksum, and
 /// sequence check out through the caller's replay callback; the first torn
 /// or corrupt record ends the scan and the file is physically truncated to
 /// the last valid byte — a crash mid-append can only cost bytes that were
-/// never acknowledged.  A corrupt header resets the journal to a fresh one
-/// (base 0): the header is only rewritten by Truncate(), whose caller has
-/// already committed a covering tiered image.
+/// never acknowledged.  A corrupt header resets the journal to an empty one
+/// based at the watermark: headers are only ever replaced through an atomic
+/// rename, so a corrupt one means damaged media, and the records behind it
+/// cannot be trusted.
 ///
 /// Append() is transactional: on any write/fsync failure the file is
 /// restored to its pre-append length, so a record either becomes fully
@@ -104,7 +110,8 @@ struct JournalStats {
 /// the kernel) and the flusher fsyncs the fd at most once per group
 /// window.  The flusher touches only the raw fd (fsync is a kernel-side
 /// barrier on whatever has been flushed, safe beside concurrent writes);
-/// all FILE* operations stay on the writer side.
+/// all FILE* operations stay on the writer side.  Rebase() swaps the file
+/// under that fd number (dup2), so the flusher's handle stays valid.
 class WriteAheadJournal {
  public:
   using ReplayFn = std::function<util::Status(const JournalBatch&)>;
@@ -113,23 +120,32 @@ class WriteAheadJournal {
   ~WriteAheadJournal();
 
   /// Opens (creating if absent) the journal at `options.path`, replaying
-  /// every intact record through `replay` in sequence order.  Add ops are
+  /// every intact record with sequence > `watermark` through `replay` in
+  /// sequence order.  Records at or below the watermark are checksummed but
+  /// never decoded, so their terms are not interned.  Add ops are
   /// re-interned into `dict` while parsing (writer-side dictionary calls;
-  /// the caller holds its mutation lock).  Returns the journal positioned
-  /// for appending after the last valid record.
+  /// the caller holds its mutation lock).  A journal that ends below the
+  /// watermark (fresh, or reset by a corrupt header) is rebased to it, so
+  /// the next append gets watermark + 1.  Returns the journal positioned for
+  /// appending after the last valid record.
   [[nodiscard]] static util::Result<std::unique_ptr<WriteAheadJournal>> Open(
       const JournalOptions& options, rdf::TermDictionary* dict,
-      const ReplayFn& replay);
+      const ReplayFn& replay, std::uint64_t watermark = 0);
 
   /// Appends one batch record and makes it durable per the fsync policy.
   /// `batch.sequence` must equal next_sequence().
   [[nodiscard]] util::Status Append(const JournalBatch& batch,
                                     const rdf::TermDictionary& dict);
 
-  /// Drops every record: called after a tiered image covering all journalled
-  /// batches has committed.  Rewrites the header with base_sequence =
-  /// last_sequence so sequence numbers stay monotone across truncation.
-  [[nodiscard]] util::Status Truncate();
+  /// Drops every record with sequence <= `watermark`: called after a
+  /// checkpoint whose bases cover them has committed.  The kept tail is
+  /// written behind a header with base_sequence = watermark to
+  /// `<path>.tmp`, fsynced, and renamed over the journal, so a crash at any
+  /// point leaves either the old file or the new one.  A watermark past the
+  /// last sequence leaves no records and moves the next sequence to
+  /// watermark + 1; one at or below the header base is a no-op.  Refused on
+  /// a degraded journal.
+  [[nodiscard]] util::Status Rebase(std::uint64_t watermark);
 
   /// Forces an fsync regardless of policy (e.g. before a clean shutdown).
   [[nodiscard]] util::Status Sync();
@@ -145,11 +161,17 @@ class WriteAheadJournal {
  private:
   WriteAheadJournal(JournalOptions options, std::FILE* file);
 
-  [[nodiscard]] util::Status WriteHeader(std::uint64_t base_sequence);
-  /// Scans + replays the existing file; truncates the torn tail.  Sets
-  /// stats_.degraded (and leaves the file intact) when replay stops early.
+  /// Atomically replaces the file with a header for `base_sequence`
+  /// followed by `records` (tmp + fsync + rename), and moves the open
+  /// handle onto it.
+  [[nodiscard]] util::Status ReplaceFile(std::uint64_t base_sequence,
+                                         const std::string& records);
+  /// Scans the existing file, replaying records past `watermark`; truncates
+  /// the torn tail.  Sets stats_.degraded (and leaves the file intact) when
+  /// replay stops early.
   [[nodiscard]] util::Status ReplayAndRecover(rdf::TermDictionary* dict,
-                                              const ReplayFn& replay);
+                                              const ReplayFn& replay,
+                                              std::uint64_t watermark);
   /// Restores the file to `length` bytes after a failed append.
   void RollBackTo(std::uint64_t length);
   /// kGroup: spawns the background group-commit flusher.
@@ -160,6 +182,7 @@ class WriteAheadJournal {
   std::FILE* file_;  // append-positioned; owned; FILE* ops writer-side only
   int fd_ = -1;      // cached fileno(file_); the flusher's only handle
   std::uint64_t end_offset_ = 0;  // bytes of header + valid records
+  std::uint64_t base_sequence_ = 0;  // the header's base
   JournalStats stats_;
 
   // Deferred group commit (kGroup): the writer marks the tail dirty and the

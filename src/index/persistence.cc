@@ -18,9 +18,8 @@ namespace index {
 
 namespace {
 
-constexpr char kMagic[8] = {'R', 'D', 'F', 'C', 'I', 'X', '0', '1'};
 constexpr char kFrozenMagic[8] = {'R', 'D', 'F', 'C', 'F', 'Z', '0', '1'};
-constexpr char kTieredMagic[8] = {'R', 'D', 'F', 'C', 'T', 'I', '0', '2'};
+constexpr char kTieredMagic[8] = {'R', 'D', 'F', 'C', 'T', 'I', '0', '3'};
 
 /// Manifest shard counts beyond this are implausible (mirrors
 /// service::IndexSnapshot::kMaxShards without a service-layer include).
@@ -212,7 +211,7 @@ class AtomicFileWriter {
   bool committed_ = false;
 };
 
-/// Dictionary section, shared by every format: term count, then each term in
+/// Dictionary section of a frozen image: term count, then each term in
 /// id order (slot 0 is the reserved null term; skipped).
 void WriteDictionary(Writer* w, const rdf::TermDictionary& dict) {
   w->U32(static_cast<std::uint32_t>(dict.size()));
@@ -250,8 +249,8 @@ util::Status ReadDictionary(Reader* r, rdf::TermDictionary* dict,
   return util::Status::OK();
 }
 
-/// One entry body: the canonical patterns followed by the external ids (the
-/// SaveIndex / tiered-manifest journal encoding).
+/// One live entry of a frozen image: the canonical patterns followed by the
+/// external ids.
 void WriteEntryBody(Writer* w, const containment::PreparedStored& stored,
                     const std::vector<std::uint64_t>& externals) {
   w->U32(static_cast<std::uint32_t>(stored.canonical.size()));
@@ -283,73 +282,6 @@ util::Status ReadEntryQuery(Reader* r, const std::vector<rdf::TermId>& remap,
   }
   return util::Status::OK();
 }
-
-}  // namespace
-
-util::Status SaveIndex(const MvIndex& index, const std::string& path) {
-  AtomicFileWriter out(path);
-  RDFC_RETURN_NOT_OK(out.Open());
-  Writer w(out.file());
-  w.Raw(kMagic, sizeof(kMagic));
-  WriteDictionary(&w, index.dict());
-
-  // Live entries: canonical patterns + external ids.  The canonical form is
-  // stable across reloads because re-preparation is deterministic.
-  std::uint32_t live = 0;
-  for (std::uint32_t id = 0; id < index.num_entries(); ++id) {
-    live += index.alive(id) ? 1 : 0;
-  }
-  w.U32(live);
-  for (std::uint32_t id = 0; id < index.num_entries(); ++id) {
-    if (!index.alive(id)) continue;
-    WriteEntryBody(&w, index.entry(id), index.external_ids(id));
-  }
-  w.Finish();
-  if (!w.ok()) return util::Status::Internal("write failed: " + path);
-  return out.Commit();
-}
-
-util::Result<std::unique_ptr<MvIndex>> LoadIndex(const std::string& path,
-                                                 rdf::TermDictionary* dict) {
-  FilePtr file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) {
-    return util::Status::NotFound("cannot open for reading: " + path);
-  }
-  Reader r(file.get());
-  char magic[8];
-  if (!r.Raw(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return util::Status::ParseError("bad magic in " + path);
-  }
-
-  std::vector<rdf::TermId> remap;
-  RDFC_RETURN_NOT_OK(ReadDictionary(&r, dict, &remap));
-
-  auto index = std::make_unique<MvIndex>(dict);
-  std::uint32_t num_entries = 0;
-  if (!r.U32(&num_entries)) return util::Status::ParseError("truncated body");
-  for (std::uint32_t e = 0; e < num_entries; ++e) {
-    query::BgpQuery q;
-    RDFC_RETURN_NOT_OK(ReadEntryQuery(&r, remap, &q));
-    std::uint32_t num_externals = 0;
-    if (!r.U32(&num_externals)) {
-      return util::Status::ParseError("truncated externals");
-    }
-    for (std::uint32_t i = 0; i < num_externals; ++i) {
-      std::uint64_t ext = 0;
-      if (!r.U64(&ext)) return util::Status::ParseError("truncated external");
-      RDFC_ASSIGN_OR_RETURN(MvIndex::InsertOutcome outcome,
-                            index->Insert(q, ext));
-      (void)outcome;
-    }
-  }
-  if (!r.VerifyChecksum()) {
-    return util::Status::ParseError("checksum mismatch in " + path);
-  }
-  return index;
-}
-
-namespace {
 
 /// On-disk token: 12 bytes with the two padding bytes of query::Token pinned
 /// to zero, so file contents never depend on what the compiler left in the
@@ -544,9 +476,13 @@ util::Result<std::unique_ptr<FrozenMvIndex>> LoadFrozenIndex(
     out->entries_[id].prepared = std::move(prepared);
     out->entries_[id].alive = true;
     ++out->num_live_;
+    // Bound the count by the bytes left before sizing anything by it: a
+    // flipped count must fail cleanly, not allocate gigabytes.
     std::uint32_t num_externals = 0;
-    if (!r.U32(&num_externals)) {
-      return util::Status::ParseError("truncated externals");
+    if (!r.U32(&num_externals) ||
+        static_cast<std::uint64_t>(num_externals) * sizeof(std::uint64_t) >
+            r.remaining()) {
+      return util::Status::ParseError("truncated or implausible externals");
     }
     out->entries_[id].external_ids.resize(num_externals);
     for (std::uint32_t i = 0; i < num_externals; ++i) {
@@ -565,16 +501,22 @@ util::Result<std::unique_ptr<FrozenMvIndex>> LoadFrozenIndex(
 }
 
 util::Status SaveTieredIndex(const std::vector<TieredShardRef>& shards,
-                             const std::string& path) {
+                             std::uint64_t watermark, const std::string& path,
+                             const std::vector<TieredBlob>& committed) {
   if (shards.empty() || shards.size() > kMaxTieredShards) {
     return util::Status::InvalidArgument("implausible shard count " +
                                          std::to_string(shards.size()));
   }
-  // Every base blob first: until the manifest below commits, the previous
-  // manifest keeps pointing at the previous generations' blobs, so a crash
-  // anywhere in between recovers to the older — but consistent — version.
+  const bool known = committed.size() == shards.size();
+  auto blob_of = [](const TieredShardRef& shard) {
+    return TieredBlob{shard.base != nullptr, shard.generation};
+  };
+  // Every new base blob first: until the manifest below commits, the
+  // previous manifest keeps naming the previous blobs, so a crash anywhere in
+  // between recovers to the older — but consistent — checkpoint.
   for (std::size_t s = 0; s < shards.size(); ++s) {
     if (shards[s].base == nullptr) continue;
+    if (known && committed[s] == blob_of(shards[s])) continue;
     RDFC_RETURN_NOT_OK(SaveFrozenIndex(
         *shards[s].base, TieredBasePath(path, s, shards[s].generation)));
   }
@@ -590,56 +532,20 @@ util::Status SaveTieredIndex(const std::vector<TieredShardRef>& shards,
   Writer w(out.file());
   w.Raw(kTieredMagic, sizeof(kTieredMagic));
   w.U32(static_cast<std::uint32_t>(shards.size()));
-  // Every tier of every shard shares the service dictionary; an all-empty
-  // version writes the one-slot (null term only) dictionary.
-  {
-    const rdf::TermDictionary* dict = nullptr;
-    for (const TieredShardRef& shard : shards) {
-      if (shard.base != nullptr) {
-        dict = &shard.base->dict();
-        break;
-      }
-      if (shard.delta != nullptr) {
-        dict = &shard.delta->dict();
-        break;
-      }
-    }
-    if (dict != nullptr) {
-      WriteDictionary(&w, *dict);
-    } else {
-      w.U32(1);
-    }
-  }
+  w.U64(watermark);
   for (const TieredShardRef& shard : shards) {
     w.U64(shard.generation);
     w.U8(shard.base != nullptr ? 1 : 0);
-    w.U32(static_cast<std::uint32_t>(shard.tombstones->size()));
-    for (std::uint64_t ext : *shard.tombstones) w.U64(ext);
-    // The shard's delta journal, in the SaveIndex live-entry encoding.
-    std::uint32_t live = 0;
-    if (shard.delta != nullptr) {
-      for (std::uint32_t id = 0; id < shard.delta->num_entries(); ++id) {
-        live += shard.delta->alive(id) ? 1 : 0;
-      }
-    }
-    w.U32(live);
-    if (shard.delta != nullptr) {
-      for (std::uint32_t id = 0; id < shard.delta->num_entries(); ++id) {
-        if (!shard.delta->alive(id)) continue;
-        WriteEntryBody(&w, shard.delta->entry(id),
-                       shard.delta->external_ids(id));
-      }
-    }
   }
   w.Finish();
   if (!w.ok()) return util::Status::Internal("write failed: " + path);
   RDFC_RETURN_NOT_OK(out.Commit());
-  // The previous generations' base blobs are unreachable now; best effort —
-  // a leftover blob is wasted space, never incorrectness.
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    if (shards[s].generation > 0) {
+  // The superseded blobs are unreachable now; best effort — a leftover blob
+  // is wasted space, never incorrectness.
+  for (std::size_t s = 0; known && s < shards.size(); ++s) {
+    if (committed[s].has_base && committed[s] != blob_of(shards[s])) {
       (void)std::remove(
-          TieredBasePath(path, s, shards[s].generation - 1).c_str());
+          TieredBasePath(path, s, committed[s].generation).c_str());
     }
   }
   return util::Status::OK();
@@ -662,54 +568,17 @@ util::Result<TieredImage> LoadTieredIndex(const std::string& path,
       num_shards > kMaxTieredShards) {
     return util::Status::ParseError("truncated or implausible shard count");
   }
-  std::vector<rdf::TermId> remap;
-  RDFC_RETURN_NOT_OK(ReadDictionary(&r, dict, &remap));
-
   TieredImage image;
+  if (!r.U64(&image.watermark)) {
+    return util::Status::ParseError("truncated watermark");
+  }
   image.shards.resize(num_shards);
   std::vector<std::uint8_t> has_base(num_shards, 0);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
-    TieredShardImage& shard = image.shards[s];
-    if (!r.U64(&shard.generation) || !r.U8(&has_base[s]) || has_base[s] > 1) {
+    if (!r.U64(&image.shards[s].generation) || !r.U8(&has_base[s]) ||
+        has_base[s] > 1) {
       return util::Status::ParseError("truncated shard header");
     }
-    std::uint32_t num_tombstones = 0;
-    if (!r.U32(&num_tombstones) ||
-        static_cast<std::uint64_t>(num_tombstones) * 8 > r.remaining()) {
-      return util::Status::ParseError("truncated or implausible tombstones");
-    }
-    shard.tombstones.resize(num_tombstones);
-    for (std::uint32_t i = 0; i < num_tombstones; ++i) {
-      if (!r.U64(&shard.tombstones[i])) {
-        return util::Status::ParseError("truncated tombstone");
-      }
-      if (i > 0 && shard.tombstones[i] <= shard.tombstones[i - 1]) {
-        return util::Status::ParseError("tombstones not strictly ascending");
-      }
-    }
-
-    std::uint32_t num_entries = 0;
-    if (!r.U32(&num_entries)) {
-      return util::Status::ParseError("truncated delta journal");
-    }
-    std::unique_ptr<MvIndex> delta;
-    if (num_entries > 0) delta = std::make_unique<MvIndex>(dict);
-    for (std::uint32_t e = 0; e < num_entries; ++e) {
-      query::BgpQuery q;
-      RDFC_RETURN_NOT_OK(ReadEntryQuery(&r, remap, &q));
-      std::uint32_t num_externals = 0;
-      if (!r.U32(&num_externals)) {
-        return util::Status::ParseError("truncated externals");
-      }
-      for (std::uint32_t i = 0; i < num_externals; ++i) {
-        std::uint64_t ext = 0;
-        if (!r.U64(&ext)) return util::Status::ParseError("truncated external");
-        RDFC_ASSIGN_OR_RETURN(MvIndex::InsertOutcome outcome,
-                              delta->Insert(q, ext));
-        (void)outcome;
-      }
-    }
-    shard.delta = std::move(delta);
   }
   if (!r.VerifyChecksum()) {
     return util::Status::ParseError("checksum mismatch in " + path);

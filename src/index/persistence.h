@@ -6,38 +6,18 @@
 #include <vector>
 
 #include "index/frozen_index.h"
-#include "index/mv_index.h"
 #include "rdf/dictionary.h"
 #include "util/status.h"
 
 namespace rdfc {
 namespace index {
 
-/// Binary snapshot of an mv-index.
+/// Binary image of a frozen index (magic "RDFCFZ01"; little-endian, trailing
+/// FNV-1a checksum, written through a crash-safe tmp + fsync + rename).
 ///
-/// Format (little-endian, versioned magic header, trailing FNV checksum):
-/// the term dictionary in id order, followed by every *live* stored entry as
-/// its canonical triple list plus external ids.  Loading re-runs the
-/// deterministic preparation pipeline (serialisation + radix insertion), so
-/// the rebuilt tree is structurally identical to the saved one — the file
-/// stays small (no tree encoding) and can never desynchronise from the
-/// insertion logic.
-///
-/// Dead (Remove()d) entries are not persisted; stored ids are therefore NOT
-/// stable across a save/load cycle — external ids are the durable handles.
-[[nodiscard]] util::Status SaveIndex(const MvIndex& index, const std::string& path);
-
-/// Loads a snapshot.  `dict` must be freshly constructed (terms are
-/// re-interned in file order); the returned index points at it.
-[[nodiscard]] util::Result<std::unique_ptr<MvIndex>> LoadIndex(const std::string& path,
-                                                 rdf::TermDictionary* dict);
-
-/// Binary image of a frozen index (magic "RDFCFZ01", same header/checksum
-/// discipline as SaveIndex).
-///
-/// Unlike SaveIndex — which persists entries and *re-inserts* on load — the
-/// frozen tree structure is written as a single relocatable blob: a count
-/// header plus the five flat arrays, every cross-reference an array index.
+/// The term dictionary in id order comes first, then the frozen tree
+/// structure as a single relocatable blob: a count header plus the five flat
+/// arrays, every cross-reference an array index.
 /// LoadFrozenIndex reads the blob with one fread and slices it into the
 /// in-memory arrays — no per-node rebuild, so load cost is I/O plus the
 /// entry-table preparation (deterministic PrepareStored per live entry,
@@ -49,7 +29,9 @@ namespace index {
 ///
 /// The entry table keeps its slot positions (dead slots persist as empty),
 /// so stored ids — and therefore probe results — are stable across a
-/// save/load cycle, unlike SaveIndex.
+/// save/load cycle.  This is the one on-disk form of an index: the CLI
+/// tools write it through SaveFrozenIndex(FrozenMvIndex(index)), and every
+/// checkpoint shard base is one.
 [[nodiscard]] util::Status SaveFrozenIndex(const FrozenMvIndex& frozen,
                                            const std::string& path);
 
@@ -58,56 +40,62 @@ namespace index {
 [[nodiscard]] util::Result<std::unique_ptr<FrozenMvIndex>> LoadFrozenIndex(
     const std::string& path, rdf::TermDictionary* dict);
 
-/// One shard of a tiered version to persist (borrowed pointers; see
-/// SaveTieredIndex).  Either tier may be null.
+/// One shard of a checkpoint to persist (borrowed base; see
+/// SaveTieredIndex).
 struct TieredShardRef {
-  const FrozenMvIndex* base = nullptr;
-  const MvIndex* delta = nullptr;
-  const std::vector<std::uint64_t>* tombstones = nullptr;  // sorted; non-null
-  std::uint64_t generation = 0;  // shard base generation (refreeze count)
+  const FrozenMvIndex* base = nullptr;  // null: the shard has no base
+  std::uint64_t generation = 0;         // shard base generation (refreezes)
 };
 
-/// One loaded shard: the frozen base, the delta journal rebuilt into a
-/// pointer tree, and the tombstoned external ids masking the base.  Either
-/// tier may be null.
+/// The base blob a committed manifest names for one shard.
+struct TieredBlob {
+  bool has_base = false;
+  std::uint64_t generation = 0;
+  bool operator==(const TieredBlob&) const = default;
+};
+
+/// One loaded shard: its frozen base (null when the shard had none).
 struct TieredShardImage {
   std::unique_ptr<FrozenMvIndex> base;
-  std::unique_ptr<MvIndex> delta;
-  std::vector<std::uint64_t> tombstones;  // sorted external ids
   std::uint64_t generation = 0;
 };
 
-/// A loaded sharded tiered image (service/index_manager.h "Tiered write
-/// path" / "Sharded index"), one entry per shard in routing order.
+/// A loaded checkpoint (service/index_manager.h "Tiered write path" /
+/// "Sharded index"): one entry per shard in routing order, plus the journal
+/// watermark the bases cover.
 struct TieredImage {
   std::vector<TieredShardImage> shards;
+  std::uint64_t watermark = 0;
 };
 
-/// Saves one published sharded tiered version as a blob per frozen base plus
-/// one manifest:
+/// Saves a checkpoint: one frozen base blob per shard plus one manifest.
 ///
-///   <path>.base.<shard>.<generation>   shard's frozen base via
-///                                      SaveFrozenIndex (skipped when the
-///                                      shard has no base);
-///   <path>                             the manifest (magic "RDFCTI02"):
-///                                      shard count, the shared dictionary,
-///                                      then per shard its generation,
-///                                      sorted tombstones, and delta journal
-///                                      in the SaveIndex entry encoding.
+///   <path>.base.<shard>.<generation>   the shard's base via SaveFrozenIndex
+///                                      (none when the shard has no base);
+///   <path>                             the manifest (magic "RDFCTI03"):
+///                                      shard count, the journal watermark
+///                                      W, then per shard its generation and
+///                                      a has-base flag.
 ///
-/// Every base blob is committed before the manifest, and the manifest names
-/// the shard/generation pair each blob carries, so a crash between the blob
-/// writes and the manifest commit (failpoint `compact.crash`) leaves the
-/// previous manifest pointing at the previous blobs — always a consistent,
-/// loadable version.  After a successful commit each shard's previous
-/// generation blob is removed best-effort.
+/// The bases hold exactly the effect of every journal record with sequence
+/// <= W; un-frozen changes live only in the journal, and recovery replays
+/// the records with sequence > W over the restored bases.
+///
+/// `committed` names the blobs of the manifest now at `path` (one entry per
+/// shard), or is empty when unknown.  A shard whose blob is already
+/// committed is not rewritten.  Every new blob commits before the manifest,
+/// so a crash between the two (failpoint `compact.crash`) leaves the
+/// previous manifest naming the previous blobs — always a consistent,
+/// loadable checkpoint.  After the manifest commits, the committed blobs it
+/// no longer names are removed (best effort).
 [[nodiscard]] util::Status SaveTieredIndex(
-    const std::vector<TieredShardRef>& shards, const std::string& path);
+    const std::vector<TieredShardRef>& shards, std::uint64_t watermark,
+    const std::string& path, const std::vector<TieredBlob>& committed);
 
-/// Loads a tiered image.  `dict` must be freshly constructed; the manifest's
-/// dictionary is interned first and the base blobs' terms remap onto it.
-/// Base blobs are opened only after the manifest passes its checksum, so a
-/// half-written blob from a crashed save is never touched.
+/// Loads a checkpoint.  `dict` must be freshly constructed; each base blob's
+/// dictionary is re-interned into it.  Base blobs are opened only after the
+/// manifest passes its checksum, so a half-written blob from a crashed save
+/// is never touched.
 [[nodiscard]] util::Result<TieredImage> LoadTieredIndex(
     const std::string& path, rdf::TermDictionary* dict);
 

@@ -397,8 +397,10 @@ void NetServer::HandleFrame(std::uint64_t conn_id, std::string_view payload) {
         RespondNow(conn_id, response);
         return;
       }
-      RespondNow(conn_id, response);
+      // Flag first, then ack: a client that holds the ack must already see
+      // shutting_down() and have its later probes refused.
       shutdown_requested_.store(true, std::memory_order_release);
+      RespondNow(conn_id, response);
       return;
     }
     case Opcode::kProbe:

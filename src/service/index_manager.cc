@@ -343,28 +343,43 @@ util::Result<std::uint64_t> IndexManager::StageAdd(query::BgpQuery view) {
     return util::Status::InvalidArgument("cannot index an empty view");
   }
   util::MutexLock lock(&mu_);
+  const std::uint64_t id = next_view_id_;
+  StageAddLocked(id, std::move(view));
+  return id;
+}
+
+void IndexManager::StageAddLocked(std::uint64_t id, query::BgpQuery view) {
   ViewRecord record;
-  record.id = next_view_id_++;
+  record.id = id;
   // The routing key: dictionary-independent, so it agrees with the
   // signature the network front end computed for batch admission and with
   // whatever dictionary a persisted image is restored into.
   record.shard = static_cast<std::uint32_t>(
       query::AnchorSignature(view, *dict_) % num_shards_);
   record.query = std::move(view);
-  view_pos_.emplace(record.id, views_.size());
+  view_pos_.emplace(id, views_.size());
   shard_records_[record.shard].push_back(views_.size());
-  const std::uint32_t shard = record.shard;
+  ShardState& state = shards_[record.shard];
   views_.push_back(std::move(record));
-  // Ids ascend, so appending keeps the shard's pending delta sorted.
-  shards_[shard].pending_delta_ids.push_back(views_.back().id);
-  staged_ops_.push_back({index::JournalOp::Kind::kAdd, views_.back().id});
+  // Ids ascend in stage order and the journal replays them in that order,
+  // so this insert appends.
+  state.pending_delta_ids.insert(
+      std::upper_bound(state.pending_delta_ids.begin(),
+                       state.pending_delta_ids.end(), id),
+      id);
+  staged_ops_.push_back({index::JournalOp::Kind::kAdd, id});
+  // Keep fresh ids disjoint from every id restored or replayed.
+  next_view_id_ = std::max(next_view_id_, id + 1);
   ++num_live_views_;
   ++num_staged_;
-  return views_.back().id;
 }
 
 util::Status IndexManager::StageRemove(std::uint64_t view_id) {
   util::MutexLock lock(&mu_);
+  return StageRemoveLocked(view_id);
+}
+
+util::Status IndexManager::StageRemoveLocked(std::uint64_t view_id) {
   auto it = view_pos_.find(view_id);
   if (it == view_pos_.end() || !views_[it->second].alive) {
     return util::Status::NotFound("unknown or already-removed view id " +
@@ -587,7 +602,7 @@ void IndexManager::MaybeScheduleCompactionLocked() {
           // A failed run (e.g. an injected compact.swing abort) is dropped
           // on the floor by design: the policy re-triggers at the next
           // Publish and the published state is untouched either way.
-          (void)RunCompaction();
+          (void)RunCompaction(/*checkpoint_after=*/true);
         }
         compaction_in_flight_.store(false, std::memory_order_release);
       });
@@ -598,28 +613,38 @@ void IndexManager::MaybeScheduleCompactionLocked() {
 
 util::Result<std::uint64_t> IndexManager::Refreeze() {
   util::MutexLock serial(&compaction_mu_);
-  return RunCompaction();
+  return RunCompaction(/*checkpoint_after=*/true);
 }
 
-util::Result<std::uint64_t> IndexManager::RunCompaction() {
+util::Result<std::uint64_t> IndexManager::RunCompaction(
+    bool checkpoint_after) {
   util::Timer timer;
   // --- Capture: pin the current snapshot and pick the dirty shards — the
   // ones with anything to fold (a delta or tombstones).  Only those shards
-  // are rebuilt; the rest ride into the compacted snapshot by pointer.
+  // are rebuilt; the rest ride into the compacted snapshot by pointer.  The
+  // journal's last sequence is the capture's watermark: every record up to
+  // it is in the captured snapshot (append precedes swing, both under mu_).
   const IndexSnapshot* captured = nullptr;
   std::vector<std::size_t> dirty;
+  std::uint64_t capture_watermark = 0;
   std::string checkpoint_path;
   {
     util::MutexLock lock(&mu_);
-    checkpoint_path = checkpoint_path_;
+    if (checkpoint_after) checkpoint_path = checkpoint_path_;
     captured = current_.load(std::memory_order_seq_cst);
+    capture_watermark = journal_ != nullptr ? journal_->stats().last_sequence
+                                            : base_watermark_;
     for (std::size_t s = 0; s < num_shards_; ++s) {
       const ShardTier& tier = captured->shard(s);
       if (tier.delta != nullptr || !tier.tombstones.empty()) {
         dirty.push_back(s);
       }
     }
-    if (dirty.empty()) return captured->version;  // nothing to fold in
+    if (dirty.empty()) {
+      // Nothing to fold: the bases already hold the captured state.
+      base_watermark_ = capture_watermark;
+      return captured->version;
+    }
     compaction_pin_ = captured;
   }
 
@@ -760,17 +785,19 @@ util::Result<std::uint64_t> IndexManager::RunCompaction() {
       RebuildPendingLocked(s, frozen_ids);
     }
     swung_version = SwingLocked(std::move(next));
+    // Every base now holds the captured state: the dirty shards were folded
+    // from it, and the clean ones had nothing beyond their base.
+    base_watermark_ = capture_watermark;
     ++compactions_run_;
     if (compaction_listener_) compaction_listener_(timer.ElapsedMicros());
   }
   if (!checkpoint_path.empty()) {
-    // Checkpoint-on-compaction (EnableJournal): persisting the compacted
-    // image here is what lets the journal truncate, so its length tracks
-    // the delta published since the last fold instead of growing without
-    // bound.  Best-effort: a failed checkpoint keeps every record and the
-    // next compaction retries.
-    const util::Status checkpointed = SaveTiered(checkpoint_path);
-    (void)checkpointed;
+    // Checkpoint-on-compaction (EnableJournal): committing the new bases
+    // lets the journal drop the records they cover, so its length tracks
+    // the publishes since the last fold instead of growing without bound.
+    // Best-effort: a failed checkpoint keeps every record and the next
+    // compaction retries.
+    (void)WriteCheckpoint(checkpoint_path);
   }
   return swung_version;
 }
@@ -806,28 +833,46 @@ void IndexManager::RebuildPendingLocked(
 // ----------------------------------------------------------------------
 
 util::Status IndexManager::SaveTiered(const std::string& path) {
-  util::MutexLock lock(&mu_);
-  const IndexSnapshot* cur = current_.load(std::memory_order_seq_cst);
+  util::MutexLock serial(&compaction_mu_);
+  RDFC_RETURN_NOT_OK(RunCompaction(/*checkpoint_after=*/false).status());
+  return WriteCheckpoint(path);
+}
+
+util::Status IndexManager::WriteCheckpoint(const std::string& path) {
+  // Pin the bases and copy the watermark together.  The bases are
+  // immutable, and only a compaction replaces them (compaction_mu_ is held),
+  // so the blobs are written off mu_ while probes and publishes go on.
+  std::vector<std::shared_ptr<const index::FrozenMvIndex>> bases;
   std::vector<index::TieredShardRef> refs;
-  refs.reserve(num_shards_);
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    const ShardTier& tier = cur->shard(s);
-    index::TieredShardRef ref;
-    ref.base = tier.base.get();
-    ref.delta = tier.delta.get();
-    ref.tombstones = &tier.tombstones;
-    ref.generation = shards_[s].generation;
-    refs.push_back(ref);
+  std::vector<index::TieredBlob> committed;
+  std::uint64_t watermark = 0;
+  {
+    util::MutexLock lock(&mu_);
+    for (const ShardState& state : shards_) {
+      bases.push_back(state.base);
+      refs.push_back({state.base.get(), state.generation});
+    }
+    watermark = base_watermark_;
+    if (path == committed_path_) committed = committed_blobs_;
   }
-  RDFC_RETURN_NOT_OK(index::SaveTieredIndex(refs, path));
-  if (journal_ != nullptr) {
-    // Every journal record belongs to a batch published at or below the
-    // version just committed (append happens strictly before the swing), so
-    // the image covers the whole journal.  A crash between the commit above
-    // and this truncation replays covered records over the restored image —
-    // harmless, replay is idempotent.
-    RDFC_RETURN_NOT_OK(journal_->Truncate());
+  RDFC_RETURN_NOT_OK(
+      index::SaveTieredIndex(refs, watermark, path, committed));
+
+  util::MutexLock lock(&mu_);
+  committed_path_ = path;
+  committed_blobs_.clear();
+  for (const index::TieredShardRef& ref : refs) {
+    committed_blobs_.push_back({ref.base != nullptr, ref.generation});
   }
+  if (RDFC_FAILPOINT("checkpoint.rebase")) {
+    // Simulated crash between the manifest commit and the journal rebase:
+    // the journal still holds records the bases cover, and recovery must
+    // skip them by the watermark alone.
+    return util::Status::Internal("failpoint checkpoint.rebase");
+  }
+  // Under mu_, so no append interleaves: the kept tail is every record past
+  // the watermark, including the publishes that landed during the write.
+  if (journal_ != nullptr) RDFC_RETURN_NOT_OK(journal_->Rebase(watermark));
   return util::Status::OK();
 }
 
@@ -852,65 +897,48 @@ util::Status IndexManager::RestoreTiered(const std::string& path) {
   next->version = next_version_;
   next->dict_ptr = dict_;
   next->shards.reserve(num_shards_);
-
-  // Rebuild the authoritative view records from each shard's two tiers:
-  // tombstoned base ids come back as dead records (they still need their
-  // tombstone until the next compaction drops them).  A record's shard is
-  // the image section it came from — the signature routing that put it
-  // there is dictionary-independent, so it stays consistent.
-  auto restore_records = [this](const auto& tier_index, std::uint32_t shard,
-                                bool in_base,
-                                const std::vector<std::uint64_t>& dead) {
-    std::vector<std::uint64_t> ids;
-    for (std::uint32_t id = 0; id < tier_index.num_entries(); ++id) {
-      if (!tier_index.alive(id)) continue;
-      for (std::uint64_t ext : tier_index.external_ids(id)) {
-        ViewRecord record;
-        record.id = ext;
-        record.query = tier_index.entry(id).canonical;
-        record.shard = shard;
-        record.alive = !SortedContains(dead, ext);
-        record.in_base = in_base;
-        view_pos_.emplace(ext, views_.size());
-        shard_records_[shard].push_back(views_.size());
-        views_.push_back(std::move(record));
-        if (views_.back().alive) ++num_live_views_;
-        next_view_id_ = std::max(next_view_id_, ext + 1);
-        ids.push_back(ext);
-      }
-    }
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  };
+  committed_blobs_.clear();
   for (std::size_t s = 0; s < num_shards_; ++s) {
     index::TieredShardImage& shard_image = image.shards[s];
     ShardState& state = shards_[s];
     auto tier = std::make_shared<ShardTier>();
-    tier->tombstones = std::move(shard_image.tombstones);
     if (shard_image.base != nullptr) {
-      std::vector<std::uint64_t> base_ids =
-          restore_records(*shard_image.base, static_cast<std::uint32_t>(s),
-                          /*in_base=*/true, tier->tombstones);
-      state.base_ids = std::make_shared<const std::vector<std::uint64_t>>(
-          std::move(base_ids));
+      // Rebuild the authoritative view records from the base.  A record's
+      // shard is the blob it came from — the signature routing that put it
+      // there is dictionary-independent, so it stays consistent.
+      const index::FrozenMvIndex& base = *shard_image.base;
+      std::vector<std::uint64_t> ids;
+      for (std::uint32_t id = 0; id < base.num_entries(); ++id) {
+        if (!base.alive(id)) continue;
+        for (std::uint64_t ext : base.external_ids(id)) {
+          ViewRecord record;
+          record.id = ext;
+          record.query = base.entry(id).canonical;
+          record.shard = static_cast<std::uint32_t>(s);
+          record.in_base = true;
+          view_pos_.emplace(ext, views_.size());
+          shard_records_[s].push_back(views_.size());
+          views_.push_back(std::move(record));
+          ++num_live_views_;
+          next_view_id_ = std::max(next_view_id_, ext + 1);
+          ids.push_back(ext);
+        }
+      }
+      std::sort(ids.begin(), ids.end());
+      state.base_ids =
+          std::make_shared<const std::vector<std::uint64_t>>(std::move(ids));
       state.base = std::shared_ptr<const index::FrozenMvIndex>(
           std::move(shard_image.base));
       tier->base = state.base;
       tier->base_view_ids = state.base_ids;
     }
-    if (shard_image.delta != nullptr) {
-      tier->delta_view_ids =
-          restore_records(*shard_image.delta, static_cast<std::uint32_t>(s),
-                          /*in_base=*/false, {});
-      state.pending_delta_ids = tier->delta_view_ids;
-      tier->delta = std::shared_ptr<const index::MvIndex>(
-          std::move(shard_image.delta));
-    }
-    state.pending_tombstones = tier->tombstones;
     state.generation = shard_image.generation;
     state.published = tier;
+    committed_blobs_.push_back({tier->base != nullptr, state.generation});
     next->shards.push_back(std::move(tier));
   }
+  base_watermark_ = image.watermark;
+  committed_path_ = path;
   next->num_views = num_live_views_;
   (void)SwingLocked(std::move(next));
   return util::Status::OK();
@@ -922,6 +950,7 @@ util::Status IndexManager::RestoreTiered(const std::string& path) {
 
 util::Status IndexManager::EnableJournal(const index::JournalOptions& options,
                                          std::string checkpoint_path) {
+  std::uint64_t watermark = 0;
   {
     util::MutexLock lock(&mu_);
     if (journal_ != nullptr) {
@@ -932,15 +961,28 @@ util::Status IndexManager::EnableJournal(const index::JournalOptions& options,
           "EnableJournal with staged changes: publish or drop them first "
           "(staged intents predate the journal and would not be covered)");
     }
+    watermark = base_watermark_;
   }
   // Open + replay outside mu_: the replay callback applies each batch under
   // mu_ itself.  No publish can interleave — the caller owns the dictionary
-  // writer side (service mutation lock) for the whole call.
+  // writer side (service mutation lock) for the whole call.  Records up to
+  // the watermark are already in the restored bases and are skipped.
   auto replay = [this](const index::JournalBatch& batch) {
     return ApplyReplay(batch);
   };
-  auto opened = index::WriteAheadJournal::Open(options, dict_, replay);
+  auto opened =
+      index::WriteAheadJournal::Open(options, dict_, replay, watermark);
   if (!opened.ok()) return opened.status();
+  // The journal must continue right after the watermark.  One that starts
+  // later was rebased by a newer checkpoint than the one restored, and the
+  // records in between exist nowhere.
+  const index::JournalStats& opened_stats = opened.value()->stats();
+  if (opened_stats.last_sequence - opened_stats.records_replayed > watermark) {
+    return util::Status::Internal(
+        "journal " + options.path + " starts after sequence " +
+        std::to_string(watermark) +
+        ", the restored checkpoint's watermark: restore the latest checkpoint");
+  }
 
   util::MutexLock lock(&mu_);
   journal_ = std::move(opened).value();
@@ -957,74 +999,26 @@ util::Status IndexManager::EnableJournal(const index::JournalOptions& options,
 
 util::Status IndexManager::ApplyReplay(const index::JournalBatch& batch) {
   util::MutexLock lock(&mu_);
+  // Replay starts right after the watermark of the bases it runs over, so
+  // every add names a new id and every remove a live one.  Anything else
+  // means the journal and the checkpoint disagree.
+  auto mismatch = [&batch](const char* what, std::uint64_t id) {
+    return util::Status::Internal(
+        "journal replay: record " + std::to_string(batch.sequence) + " " +
+        what + " " + std::to_string(id));
+  };
   for (const index::JournalOp& op : batch.ops) {
     if (op.kind == index::JournalOp::Kind::kAdd) {
-      RDFC_RETURN_NOT_OK(ApplyReplayAddLocked(op.view_id, op.view));
-    } else {
-      ApplyReplayRemoveLocked(op.view_id);
+      if (op.view.empty()) return mismatch("adds an empty view", op.view_id);
+      if (view_pos_.count(op.view_id) != 0) {
+        return mismatch("adds an existing view id", op.view_id);
+      }
+      StageAddLocked(op.view_id, op.view);
+    } else if (!StageRemoveLocked(op.view_id).ok()) {
+      return mismatch("removes an unknown or dead view id", op.view_id);
     }
   }
   return util::Status::OK();
-}
-
-util::Status IndexManager::ApplyReplayAddLocked(std::uint64_t id,
-                                                const query::BgpQuery& view) {
-  if (view_pos_.count(id) != 0) {
-    // Already present (restored image, or a record surviving a crash between
-    // a checkpoint commit and its journal truncation): skip — idempotence.
-    return util::Status::OK();
-  }
-  if (view.empty()) {
-    return util::Status::Internal("journal replay: empty view " +
-                                  std::to_string(id));
-  }
-  ViewRecord record;
-  record.id = id;
-  record.shard = static_cast<std::uint32_t>(
-      query::AnchorSignature(view, *dict_) % num_shards_);
-  record.query = view;
-  view_pos_.emplace(record.id, views_.size());
-  shard_records_[record.shard].push_back(views_.size());
-  const std::uint32_t shard = record.shard;
-  views_.push_back(std::move(record));
-  // Replayed ids ascend within the journal but may interleave with a
-  // restored image's delta ids, so insert sorted rather than append.
-  ShardState& state = shards_[shard];
-  state.pending_delta_ids.insert(
-      std::upper_bound(state.pending_delta_ids.begin(),
-                       state.pending_delta_ids.end(), id),
-      id);
-  ++num_live_views_;
-  ++num_staged_;
-  // Keep fresh StageAdd ids disjoint from everything the journal ever
-  // assigned, exactly as RestoreTiered does for image ids.
-  next_view_id_ = std::max(next_view_id_, id + 1);
-  return util::Status::OK();
-}
-
-void IndexManager::ApplyReplayRemoveLocked(std::uint64_t id) {
-  auto it = view_pos_.find(id);
-  if (it == view_pos_.end() || !views_[it->second].alive) {
-    // Unknown (its add was folded away before the covering image) or already
-    // dead (restored as tombstoned): skip — idempotence.
-    return;
-  }
-  ViewRecord& record = views_[it->second];
-  record.alive = false;
-  --num_live_views_;
-  ++num_staged_;
-  ShardState& state = shards_[record.shard];
-  if (record.in_base) {
-    state.pending_tombstones.insert(
-        std::upper_bound(state.pending_tombstones.begin(),
-                         state.pending_tombstones.end(), id),
-        id);
-  } else {
-    auto pos = std::lower_bound(state.pending_delta_ids.begin(),
-                                state.pending_delta_ids.end(), id);
-    RDFC_DCHECK(pos != state.pending_delta_ids.end() && *pos == id);
-    state.pending_delta_ids.erase(pos);
-  }
 }
 
 index::JournalStats IndexManager::journal_stats() const {

@@ -13,6 +13,7 @@
 #include "index/frozen_index.h"
 #include "index/journal.h"
 #include "index/mv_index.h"
+#include "index/persistence.h"
 #include "query/bgp_query.h"
 #include "rdf/dictionary.h"
 #include "util/macros.h"
@@ -285,7 +286,8 @@ class IndexManager {
   /// tombstone set into a new frozen base for that shard and publishes the
   /// compacted snapshot as a new version (returned).  Waits for any
   /// background compaction first.  No-op (returns the current version) when
-  /// no shard has anything to fold.  Safe to call concurrently with
+  /// no shard has anything to fold.  With checkpoint-on-compaction armed, a
+  /// fold also writes a checkpoint.  Safe to call concurrently with
   /// staging/publishing — the builds run off the writer mutex.
   [[nodiscard]] util::Result<std::uint64_t> Refreeze()
       RDFC_EXCLUDES(mu_, compaction_mu_);
@@ -349,36 +351,43 @@ class IndexManager {
   // Persistence (writer side; see index/persistence.h for the format)
   // ------------------------------------------------------------------
 
-  /// Saves the current published version as a sharded tiered image: each
-  /// shard's frozen base as a sibling `<path>.base.<shard>.<generation>`
-  /// blob plus one manifest at `path` holding every shard's delta journal
-  /// and tombstones.  Blobs commit before the manifest, so a crash between
-  /// the two recovers the previous image.  Holds the writer mutex for the
-  /// I/O (an admin-path operation; probes are unaffected).  With a journal
-  /// enabled, a committed image covers every journalled batch (records are
-  /// appended strictly before their publish swing), so the journal is
-  /// truncated after the commit; a crash between the two is harmless
-  /// because replay over the new image is idempotent.
+  /// Writes a checkpoint: folds every shard with a delta or tombstones (as
+  /// Refreeze does), then saves each shard's frozen base as a blob
+  /// `<path>.base.<shard>.<generation>` plus a manifest at `path` holding
+  /// the journal sequence watermark W the bases cover (index/persistence.h).
+  /// It holds every publish acknowledged before the call; later publishes
+  /// are durable only through the journal.  Once the manifest commits, the
+  /// journal is rebased through W (records <= W dropped, later ones kept);
+  /// a crash in between is harmless, as replay skips records by W.  Only
+  /// blobs the last checkpoint at `path` did not commit are written, and
+  /// the ones it superseded are deleted.  The I/O runs off the writer
+  /// mutex: probes and publishes continue, compactions wait.
   [[nodiscard]] util::Status SaveTiered(const std::string& path)
-      RDFC_EXCLUDES(mu_);
+      RDFC_EXCLUDES(mu_, compaction_mu_);
 
-  /// Restores a tiered image into this manager and publishes it as the next
-  /// version.  The manager must be fresh (version 0, nothing staged), its
-  /// dictionary freshly constructed, and its configured shard count must
-  /// equal the image's (shard routing is baked into the frozen bases, so a
-  /// restore cannot re-shard; InvalidArgument otherwise).
+  /// Restores a checkpoint into this manager and publishes it as the next
+  /// version: the bases become the shards' tiers, and the manifest's
+  /// watermark becomes the sequence EnableJournal replays after.  The
+  /// manager must be fresh (version 0, nothing staged), its dictionary
+  /// freshly constructed, and its configured shard count must equal the
+  /// image's (shard routing is baked into the frozen bases, so a restore
+  /// cannot re-shard; InvalidArgument otherwise).
   [[nodiscard]] util::Status RestoreTiered(const std::string& path)
       RDFC_EXCLUDES(mu_);
 
   /// Opens (creating if absent) the write-ahead journal at `options.path`,
-  /// replays every intact record over the current state (idempotently:
-  /// already-present adds and already-dead removes are skipped, so a journal
-  /// overlapping a restored image is fine), publishes the replayed state as
-  /// one version, and arms journaling: from here every Publish appends its
-  /// batch to the journal *before* the snapshot swing, and a failed append
-  /// aborts the publish transactionally.  `checkpoint_path` (optional) arms
-  /// checkpoint-on-compaction: after each successful compaction the image is
-  /// saved there, which truncates the journal (DESIGN.md "Durability").
+  /// replays every intact record past the restored checkpoint's watermark
+  /// (all of them without a RestoreTiered) over the current state,
+  /// publishes the replayed state as one version, and arms journaling: from
+  /// here every Publish appends its batch to the journal *before* the
+  /// snapshot swing, and a failed append aborts the publish
+  /// transactionally.  A journal that does not continue right after the
+  /// watermark, a replayed add of an id already present, or a replayed
+  /// remove of an id that is not live means the journal and the checkpoint
+  /// disagree, and fails with Internal.  `checkpoint_path`
+  /// (optional) arms checkpoint-on-compaction: after each compaction that
+  /// folds anything, a checkpoint is written there, which rebases the
+  /// journal (DESIGN.md "Durability").
   ///
   /// Call once, during startup, after any RestoreTiered; the caller must be
   /// the sole dictionary writer for the duration (replay interns terms).
@@ -474,14 +483,16 @@ class IndexManager {
   [[nodiscard]] util::Result<std::uint64_t> PublishBatchLocked(
       bool with_journal) RDFC_REQUIRES(mu_);
 
+  /// StageAdd / StageRemove bodies, shared with journal replay (which
+  /// stages the journalled ids instead of fresh ones).
+  void StageAddLocked(std::uint64_t id, query::BgpQuery view)
+      RDFC_REQUIRES(mu_);
+  [[nodiscard]] util::Status StageRemoveLocked(std::uint64_t id)
+      RDFC_REQUIRES(mu_);
+
   /// Applies one replayed journal batch to the staged state (no publish).
-  /// Idempotent per op; see EnableJournal.
   [[nodiscard]] util::Status ApplyReplay(const index::JournalBatch& batch)
       RDFC_EXCLUDES(mu_);
-  [[nodiscard]] util::Status ApplyReplayAddLocked(std::uint64_t id,
-                                                  const query::BgpQuery& view)
-      RDFC_REQUIRES(mu_);
-  void ApplyReplayRemoveLocked(std::uint64_t id) RDFC_REQUIRES(mu_);
 
   /// Sweeps the hazard slots and frees every retired version no reader (and
   /// no in-flight compaction) has pinned.
@@ -495,9 +506,19 @@ class IndexManager {
   void MaybeScheduleCompactionLocked() RDFC_REQUIRES(mu_);
 
   /// One full compaction run: capture, off-lock per-shard merge + freeze of
-  /// every dirty shard, one swing.
-  [[nodiscard]] util::Result<std::uint64_t> RunCompaction() RDFC_EXCLUDES(mu_)
-      RDFC_REQUIRES(compaction_mu_);
+  /// every dirty shard, one swing.  Records the capture's journal sequence
+  /// as base_watermark_ once the bases hold the captured state.  With
+  /// `checkpoint_after`, a run that folds anything then writes the
+  /// checkpoint-on-compaction image (when armed).
+  [[nodiscard]] util::Result<std::uint64_t> RunCompaction(
+      bool checkpoint_after) RDFC_EXCLUDES(mu_) RDFC_REQUIRES(compaction_mu_);
+
+  /// Writes the current bases and base_watermark_ as a checkpoint at
+  /// `path`, then rebases the journal through the watermark (see
+  /// SaveTiered).  Holding compaction_mu_ keeps the bases fixed while the
+  /// blobs are written off mu_.
+  [[nodiscard]] util::Status WriteCheckpoint(const std::string& path)
+      RDFC_EXCLUDES(mu_) RDFC_REQUIRES(compaction_mu_);
 
   /// Recomputes shard `s`'s pending sets and its records' in_base flags
   /// after the shard's base generation changed to `new_base_ids`.
@@ -534,6 +555,15 @@ class IndexManager {
   std::unique_ptr<index::WriteAheadJournal> journal_ RDFC_GUARDED_BY(mu_);
   /// Checkpoint-on-compaction target ("" = off); set once by EnableJournal.
   std::string checkpoint_path_ RDFC_GUARDED_BY(mu_);
+  /// Journal sequence the shard bases cover: they hold exactly the effect of
+  /// every batch with sequence <= this.  Set at each compaction capture (the
+  /// journal's last sequence) once the bases match it, and by RestoreTiered.
+  std::uint64_t base_watermark_ RDFC_GUARDED_BY(mu_) = 0;
+  /// Path and per-shard blobs of the last checkpoint this manager committed
+  /// or restored, so the next checkpoint there rewrites only changed blobs
+  /// and deletes exactly the superseded ones.
+  std::string committed_path_ RDFC_GUARDED_BY(mu_);
+  std::vector<index::TieredBlob> committed_blobs_ RDFC_GUARDED_BY(mu_);
 
   /// One writer-side state per shard (size num_shards_).
   std::vector<ShardState> shards_ RDFC_GUARDED_BY(mu_);

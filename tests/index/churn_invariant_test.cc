@@ -140,7 +140,7 @@ TEST(ChurnInvariantTest, PersistenceSurvivesCorruptionFuzz) {
     ASSERT_TRUE(index.Insert(pool[i], i).ok());
   }
   const std::string path = "churn_corruption.rdfcidx";
-  ASSERT_TRUE(SaveIndex(index, path).ok());
+  ASSERT_TRUE(SaveFrozenIndex(FrozenMvIndex(index), path).ok());
 
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -158,7 +158,7 @@ TEST(ChurnInvariantTest, PersistenceSurvivesCorruptionFuzz) {
       out << mutated;
     }
     rdf::TermDictionary dict2;
-    auto loaded = LoadIndex(path, &dict2);
+    auto loaded = LoadFrozenIndex(path, &dict2);
     if (!loaded.ok()) {
       ++clean_failures;
       continue;

@@ -241,9 +241,9 @@ TEST_F(FrozenPersistenceTest, RoundTripPreservesProbesAndStoredIds) {
   EXPECT_EQ((*loaded)->nodes().size(), frozen.nodes().size());
   EXPECT_EQ((*loaded)->label_pool().size(), frozen.label_pool().size());
 
-  // Unlike LoadIndex, stored ids are stable across the cycle: same probe,
-  // same ids, against a freshly re-interned dictionary.  gen2 replays gen's
-  // full draw sequence (inserts first) so probe i matches on both sides.
+  // Stored ids are stable across the cycle: same probe, same ids, against a
+  // freshly re-interned dictionary.  gen2 replays gen's full draw sequence
+  // (inserts first) so probe i matches on both sides.
   SmallVocabGen gen2(&dict2, /*seed=*/23);
   for (int i = 0; i < 80; ++i) (void)gen2.Draw(4, i % 4 == 0);
   for (int i = 0; i < 40; ++i) {

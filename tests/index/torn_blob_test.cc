@@ -73,26 +73,6 @@ class TornBlobTest : public ::testing::Test {
   std::string base_;
 };
 
-TEST_F(TornBlobTest, EveryPrefixOfIndexSnapshotFailsCleanly) {
-  const std::string path = base_ + ".idx";
-  ASSERT_TRUE(SaveIndex(index_, path).ok());
-  const std::vector<char> bytes = ReadAll(path);
-  ASSERT_GT(bytes.size(), 16u);
-
-  const std::string torn = base_ + ".torn";
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    WriteAll(torn, bytes.data(), len);
-    rdf::TermDictionary fresh;
-    auto loaded = LoadIndex(torn, &fresh);
-    ASSERT_FALSE(loaded.ok()) << "prefix of " << len << " bytes loaded";
-  }
-  // The untouched file still round-trips after all that.
-  rdf::TermDictionary fresh;
-  auto loaded = LoadIndex(path, &fresh);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->num_live_entries(), index_.num_live_entries());
-}
-
 TEST_F(TornBlobTest, EveryPrefixOfFrozenImageFailsCleanly) {
   const std::string path = base_ + ".idx";
   const FrozenMvIndex frozen(index_);
@@ -114,7 +94,7 @@ TEST_F(TornBlobTest, EveryPrefixOfFrozenImageFailsCleanly) {
 
 TEST_F(TornBlobTest, SingleByteFlipsAreCaught) {
   const std::string path = base_ + ".idx";
-  ASSERT_TRUE(SaveIndex(index_, path).ok());
+  ASSERT_TRUE(SaveFrozenIndex(FrozenMvIndex(index_), path).ok());
   std::vector<char> bytes = ReadAll(path);
 
   const std::string torn = base_ + ".torn";
@@ -125,7 +105,7 @@ TEST_F(TornBlobTest, SingleByteFlipsAreCaught) {
     mutated[at] = static_cast<char>(mutated[at] ^ 0x5A);
     WriteAll(torn, mutated.data(), mutated.size());
     rdf::TermDictionary fresh;
-    auto loaded = LoadIndex(torn, &fresh);
+    auto loaded = LoadFrozenIndex(torn, &fresh);
     ASSERT_FALSE(loaded.ok()) << "flip at offset " << at << " loaded";
   }
 }
@@ -134,26 +114,26 @@ TEST_F(TornBlobTest, SingleByteFlipsAreCaught) {
 
 TEST_F(TornBlobTest, CrashDuringSaveLeavesPreviousSnapshotLoadable) {
   const std::string path = base_ + ".idx";
-  ASSERT_TRUE(SaveIndex(index_, path).ok());
+  ASSERT_TRUE(SaveFrozenIndex(FrozenMvIndex(index_), path).ok());
   const std::vector<char> before = ReadAll(path);
 
   auto& registry = util::FailpointRegistry::Instance();
   ASSERT_TRUE(registry.Configure("persistence.crash=1", 11).ok());
   auto outcome = index_.Insert(MakeQuery(&dict_, 99), 99);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_FALSE(SaveIndex(index_, path).ok());
+  EXPECT_FALSE(SaveFrozenIndex(FrozenMvIndex(index_), path).ok());
   registry.Reset();
 
   // Byte-for-byte identical to the last committed save, and loadable.
   EXPECT_EQ(ReadAll(path), before);
   rdf::TermDictionary fresh;
-  auto loaded = LoadIndex(path, &fresh);
+  auto loaded = LoadFrozenIndex(path, &fresh);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   // With the fault gone, the pending state commits and supersedes it.
-  ASSERT_TRUE(SaveIndex(index_, path).ok());
+  ASSERT_TRUE(SaveFrozenIndex(FrozenMvIndex(index_), path).ok());
   rdf::TermDictionary fresh2;
-  auto reloaded = LoadIndex(path, &fresh2);
+  auto reloaded = LoadFrozenIndex(path, &fresh2);
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ((*reloaded)->num_live_entries(), index_.num_live_entries());
 }

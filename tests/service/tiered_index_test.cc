@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include "../test_util.h"
 #include "index/validate.h"
 #include "service/index_manager.h"
@@ -489,7 +491,14 @@ TEST_F(TieredPersistenceTest, SaveRestoreRoundTripsBothTiers) {
     live.emplace(*id, view);
   }
   ASSERT_TRUE(manager.Publish().ok());
+  // A checkpoint folds first: the tombstone and both delta views land in the
+  // new base, and the saved image holds bases only.
   ASSERT_TRUE(manager.SaveTiered(path_).ok());
+  const std::size_t original_slot = manager.RegisterReader();
+  IndexManager::ReadGuard folded = manager.Acquire(original_slot);
+  EXPECT_EQ(folded->num_base_views(), 7u);
+  EXPECT_EQ(folded->num_tombstones(), 0u);
+  EXPECT_EQ(folded->num_delta_views(), 0u);
 
   // Restore into a fresh dictionary/manager and compare every probe's
   // external ids — the durable handles — against the original oracle.
@@ -499,9 +508,9 @@ TEST_F(TieredPersistenceTest, SaveRestoreRoundTripsBothTiers) {
   const std::size_t slot = restored.RegisterReader();
   {
     IndexManager::ReadGuard guard = restored.Acquire(slot);
-    EXPECT_EQ(guard->num_base_views(), 6u);
-    EXPECT_EQ(guard->num_tombstones(), 1u);
-    EXPECT_EQ(guard->num_delta_views(), 2u);
+    EXPECT_EQ(guard->num_base_views(), folded->num_base_views());
+    EXPECT_EQ(guard->num_tombstones(), folded->num_tombstones());
+    EXPECT_EQ(guard->num_delta_views(), folded->num_delta_views());
     EXPECT_EQ(guard->num_views, live.size());
     for (const std::string& text : ProbeTexts()) {
       EXPECT_EQ(ProbeIds(guard, ParseOrDie(text, &dict2)),
@@ -525,6 +534,60 @@ TEST_F(TieredPersistenceTest, SaveRestoreRoundTripsBothTiers) {
               OracleIds(live, &dict_, Q(text)))
         << "post-restore churn probe: " << text;
   }
+}
+
+TEST_F(TieredPersistenceTest, CheckpointKeepsOnlyTheBlobsItNames) {
+  // One shard so every fold bumps the same generation.  A checkpoint must
+  // delete every blob it supersedes — not just generation - 1 — and must
+  // not rewrite a blob the committed manifest already names.
+  TierOptions tier;
+  tier.background_compaction = false;
+  tier.num_shards = 1;
+  IndexManager manager(&dict_, {}, tier);
+  auto blob = [this](std::uint64_t generation) {
+    return path_ + ".base.0." + std::to_string(generation);
+  };
+  auto exists = [](const std::string& file) {
+    struct stat st;
+    return ::stat(file.c_str(), &st) == 0;
+  };
+  auto inode = [](const std::string& file) {
+    struct stat st;
+    return ::stat(file.c_str(), &st) == 0 ? st.st_ino : ino_t{0};
+  };
+  std::size_t next_view = 0;
+  auto publish_one = [&] {
+    ASSERT_TRUE(manager.StageAdd(Q(ViewText(next_view++))).ok());
+    ASSERT_TRUE(manager.Publish().ok());
+  };
+
+  publish_one();
+  ASSERT_TRUE(manager.Refreeze().ok());           // generation 1
+  ASSERT_TRUE(manager.SaveTiered(path_).ok());
+  EXPECT_TRUE(exists(blob(1)));
+  publish_one();
+  ASSERT_TRUE(manager.Refreeze().ok());           // generation 2
+  publish_one();
+  ASSERT_TRUE(manager.Refreeze().ok());           // generation 3
+  ASSERT_TRUE(manager.SaveTiered(path_).ok());
+  EXPECT_FALSE(exists(blob(1)));
+  EXPECT_FALSE(exists(blob(2)));
+  ASSERT_TRUE(exists(blob(3)));
+
+  // Nothing changed: the committed blob stays as it is.
+  const ino_t before = inode(blob(3));
+  ASSERT_TRUE(manager.SaveTiered(path_).ok());
+  EXPECT_EQ(inode(blob(3)), before);
+
+  // A restored manager knows the restored manifest's blobs, too.
+  rdf::TermDictionary dict2;
+  IndexManager restored(&dict2, {}, tier);
+  ASSERT_TRUE(restored.RestoreTiered(path_).ok());
+  ASSERT_TRUE(restored.StageAdd(ParseOrDie(ViewText(next_view), &dict2)).ok());
+  ASSERT_TRUE(restored.Publish().ok());
+  ASSERT_TRUE(restored.SaveTiered(path_).ok());  // folds to generation 4
+  EXPECT_FALSE(exists(blob(3)));
+  EXPECT_TRUE(exists(blob(4)));
 }
 
 TEST_F(TieredPersistenceTest, RestoreRequiresFreshManager) {

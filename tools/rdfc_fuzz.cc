@@ -132,19 +132,15 @@ int RunFailpointCampaign(std::uint64_t seed, bool smoke, bool verbose) {
 #endif
 
   // --- Part 1: persistence.  A failed (or "crashed") save must leave the
-  // previous snapshot byte-for-byte loadable; a successful one must load to
-  // the new content.
+  // previous image loadable with its live count; a successful one must load
+  // to the new content.
   rdf::TermDictionary dict;
   QueryGen gen(&dict, seed);
   index::MvIndex index(&dict);
   for (int i = 0; i < 20; ++i) {
     (void)index.Insert(gen.Draw(4, i % 4 == 0), static_cast<std::uint64_t>(i));
   }
-  const std::string path = dir + "/snapshot.idx";
   const std::string frozen_path = dir + "/snapshot.fidx";
-  if (auto st = index::SaveIndex(index, path); !st.ok()) {
-    return FailpointFail("baseline save", st);
-  }
   if (auto st = index::SaveFrozenIndex(index::FrozenMvIndex(index),
                                        frozen_path);
       !st.ok()) {
@@ -162,29 +158,25 @@ int RunFailpointCampaign(std::uint64_t seed, bool smoke, bool verbose) {
   for (std::size_t r = 0; r < rounds; ++r) {
     (void)index.Insert(gen.Draw(4, r % 5 == 0),
                        static_cast<std::uint64_t>(100 + r));
-    const util::Status st = index::SaveIndex(index, path);
-    const util::Status fst =
+    const util::Status st =
         index::SaveFrozenIndex(index::FrozenMvIndex(index), frozen_path);
-    save_failures += st.ok() ? 0 : 1;
-    save_failures += fst.ok() ? 0 : 1;
     // A committed save becomes the new expectation; a failed one must leave
     // the file holding exactly what the last committed save wrote.
-    if (st.ok()) expected_live = index.num_live_entries();
-    if (st.ok() && fst.ok()) continue;
+    if (st.ok()) {
+      expected_live = index.num_live_entries();
+      continue;
+    }
+    ++save_failures;
     rdf::TermDictionary reload_dict;
-    auto loaded = index::LoadIndex(path, &reload_dict);
+    auto loaded = index::LoadFrozenIndex(frozen_path, &reload_dict);
     if (!loaded.ok()) {
-      return FailpointFail("previous snapshot unloadable after failed save",
+      return FailpointFail("previous image unloadable after failed save",
                            loaded.status());
     }
     if ((*loaded)->num_live_entries() != expected_live) {
       return FailpointFail(
-          "failed save mutated the previous snapshot",
+          "failed save mutated the previous image",
           util::Status::Internal("live-entry count changed under a failure"));
-    }
-    rdf::TermDictionary frozen_dict;
-    if (auto fl = index::LoadFrozenIndex(frozen_path, &frozen_dict); !fl.ok()) {
-      return FailpointFail("previous frozen image unloadable", fl.status());
     }
   }
   if (save_failures == 0) {
@@ -602,6 +594,23 @@ int RunFailpointCampaign(std::uint64_t seed, bool smoke, bool verbose) {
           util::Status::Internal("journal.replay never fired in 8 opens"));
     }
 
+    // Recovered answers must match the pre-restart service bit-exactly.
+    auto answers_diverge = [&](service::ContainmentService& svc) -> int {
+      for (std::size_t i = 0; i < probe_texts.size(); ++i) {
+        auto response = svc.Probe(probe_texts[i]);
+        if (!response.ok()) {
+          return FailpointFail("recovered probe", response.status());
+        }
+        if (response->containing_views != expected[i]) {
+          return FailpointFail(
+              "recovered answers diverge",
+              util::Status::Internal("probe " + std::to_string(i) +
+                                     " differs from the pre-restart service"));
+        }
+      }
+      return 0;
+    };
+
     // Clean re-open: every acknowledged publish replays, bit-exact answers.
     {
       service::ContainmentService svc(sopts);
@@ -615,17 +624,50 @@ int RunFailpointCampaign(std::uint64_t seed, bool smoke, bool verbose) {
             util::Status::Internal("expected all acknowledged records to "
                                    "replay"));
       }
-      for (std::size_t i = 0; i < probe_texts.size(); ++i) {
-        auto response = svc.Probe(probe_texts[i]);
-        if (!response.ok()) {
-          return FailpointFail("recovered probe", response.status());
+      if (int failed = answers_diverge(svc); failed != 0) return failed;
+    }
+
+    // A checkpoint that dies between its manifest commit and the journal
+    // rebase leaves records the checkpoint covers in the journal.  Recovery
+    // must skip them by the manifest's watermark — replaying one would add
+    // an id the restored bases already hold — and answer as before.
+    {
+      const std::string ckpt = dir + "/service.ckpt";
+      {
+        service::ContainmentService svc(sopts);
+        if (auto st = svc.EnableJournal(jopts); !st.ok()) {
+          return FailpointFail("checkpoint open", st);
         }
-        if (response->containing_views != expected[i]) {
+        if (auto st = registry.Configure("checkpoint.rebase=1", seed + 8);
+            !st.ok()) {
+          return FailpointFail("configure rebase crash", st);
+        }
+        const util::Status saved = svc.manager().SaveTiered(ckpt);
+        registry.Reset();
+        if (saved.ok()) {
           return FailpointFail(
-              "recovered answers diverge",
-              util::Status::Internal("probe " + std::to_string(i) +
-                                     " differs from the pre-restart service"));
+              "rebase crash schedule degenerate",
+              util::Status::Internal("checkpoint.rebase did not fire"));
         }
+      }
+      service::ContainmentService svc(sopts);
+      if (auto st = svc.manager().RestoreTiered(ckpt); !st.ok()) {
+        return FailpointFail("restore after rebase crash", st);
+      }
+      if (auto st = svc.EnableJournal(jopts); !st.ok()) {
+        return FailpointFail("replay after rebase crash", st);
+      }
+      const index::JournalStats stats = svc.manager().journal_stats();
+      if (stats.records_replayed != 0 || stats.last_sequence != acked) {
+        return FailpointFail(
+            "covered records replayed",
+            util::Status::Internal("records at or below the watermark must "
+                                   "be skipped"));
+      }
+      if (int failed = answers_diverge(svc); failed != 0) return failed;
+      std::remove(ckpt.c_str());
+      for (std::size_t s = 0; s < service::IndexSnapshot::kMaxShards; ++s) {
+        std::remove((ckpt + ".base." + std::to_string(s) + ".1").c_str());
       }
     }
     std::remove(wal.c_str());

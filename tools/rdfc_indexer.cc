@@ -1,4 +1,5 @@
-// rdfc_indexer — builds an mv-index snapshot from SPARQL queries.
+// rdfc_indexer — builds an mv-index from SPARQL queries and writes it as a
+// frozen image (RDFCFZ01, index/persistence.h) that rdfc_probe loads.
 //
 //   rdfc_indexer <queries.rq> <out.rdfcidx>        index a `---`-separated file
 //   rdfc_indexer --workload=dbpedia:5000 <out>     index a generated workload
@@ -115,7 +116,8 @@ int main(int argc, char** argv) {
               queries.empty() ? 0.0
                               : insert_ms / static_cast<double>(queries.size()));
 
-  if (auto st = index::SaveIndex(index, out_path); !st.ok()) {
+  if (auto st = index::SaveFrozenIndex(index::FrozenMvIndex(index), out_path);
+      !st.ok()) {
     return Fail(st.ToString());
   }
   std::printf("snapshot written to %s\n", out_path.c_str());

@@ -1,4 +1,5 @@
-// rdfc_probe — containment probes against a saved mv-index snapshot.
+// rdfc_probe — containment probes against a frozen mv-index image written by
+// rdfc_indexer or rdfc_shell's .save.
 //
 //   rdfc_probe <index.rdfcidx> <queries.rq>   probe each query in the file
 //   rdfc_probe <index.rdfcidx> -              read one query from stdin
@@ -38,12 +39,12 @@ int main(int argc, char** argv) {
       1, std::strtoull(args.Get("repeat", "1").c_str(), nullptr, 10));
 
   rdf::TermDictionary dict;
-  auto loaded = index::LoadIndex(args.positional[0], &dict);
+  auto loaded = index::LoadFrozenIndex(args.positional[0], &dict);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
-  const index::MvIndex& index = **loaded;
+  const index::FrozenMvIndex& index = **loaded;
   std::printf("index: %s live queries, %s vertices\n",
               util::WithThousands(index.num_live_entries()).c_str(),
-              util::WithThousands(index.num_nodes()).c_str());
+              util::WithThousands(index.nodes().size()).c_str());
 
   std::vector<std::string> texts;
   if (args.positional[1] == "-") {

@@ -8,7 +8,8 @@
 //   .analyze <sparql>      structural report: f-graph, cyclic, ND-degree,
 //                          serialised form, witness
 //   .stats                 graph/index statistics
-//   .save <file> / .open <file>   snapshot the view index
+//   .save <file>           write the view index as a frozen image (rdfc_probe
+//                          reads it)
 //   .dot <file>            Graphviz dump of the mv-index
 //   .help / .quit
 
@@ -262,7 +263,8 @@ class Shell {
         return;
       }
     }
-    if (auto st = index::SaveIndex(snapshot, path); !st.ok()) {
+    if (auto st = index::SaveFrozenIndex(index::FrozenMvIndex(snapshot), path);
+        !st.ok()) {
       std::printf("%s\n", st.ToString().c_str());
       return;
     }
