@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "containment/pipeline.h"
 #include "index/mv_index.h"
 #include "query/analysis.h"
@@ -14,10 +17,15 @@
 namespace rdfc {
 namespace {
 
+// gtest names each case by dumping these bytes, so the struct carries no
+// implicit padding: uninitialised padding bytes made the test names differ
+// from build to build.
 struct SweepCase {
   workload::WorkloadId id;
+  std::uint8_t reserved[7] = {};
   std::size_t count;
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>);
 
 std::vector<query::BgpQuery> Generate(const SweepCase& c,
                                       rdf::TermDictionary* dict) {
@@ -139,11 +147,11 @@ TEST_P(WorkloadSweepTest, DedupConsistentWithEquivalence) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, WorkloadSweepTest,
-    ::testing::Values(SweepCase{workload::WorkloadId::kDbpedia, 600},
-                      SweepCase{workload::WorkloadId::kWatdiv, 400},
-                      SweepCase{workload::WorkloadId::kBsbm, 300},
-                      SweepCase{workload::WorkloadId::kLubm, 200},
-                      SweepCase{workload::WorkloadId::kLdbc, 53}),
+    ::testing::Values(SweepCase{workload::WorkloadId::kDbpedia, {}, 600},
+                      SweepCase{workload::WorkloadId::kWatdiv, {}, 400},
+                      SweepCase{workload::WorkloadId::kBsbm, {}, 300},
+                      SweepCase{workload::WorkloadId::kLubm, {}, 200},
+                      SweepCase{workload::WorkloadId::kLdbc, {}, 53}),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
       return workload::WorkloadName(info.param.id);
     });

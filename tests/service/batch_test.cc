@@ -1,8 +1,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -150,10 +152,18 @@ TEST(BatchTest, GroupedShedIsAllOrNothingWithZeroCallbacks) {
   ContainmentService svc(TestOptions(/*threads=*/1, /*queue_capacity=*/1));
   ASSERT_TRUE(svc.PublishViews({"ASK { ?x :p ?y . }"}).ok());
 
-  // Submit 100ms io probes until one is refused: at that instant the worker
-  // is wedged AND the single queue slot holds another 100ms probe, so the
-  // queue stays provably full for the grouped submission below.  (A fixed
-  // two-submit setup races the worker's dequeue of the first probe.)
+  std::vector<ProbeRequest> group;
+  for (int i = 0; i < 3; ++i) {
+    group.push_back(MakeRequest(&svc, "ASK { ?a :p ?b . }"));
+  }
+
+  // Submit 100ms io probes until one is refused after at least two were
+  // admitted: the single queue slot can take a second probe only once the
+  // worker has dequeued the first, so at that refusal the worker is wedged
+  // AND the slot holds another 100ms probe, and the queue stays provably
+  // full for the grouped submission below.  A refusal after one admission
+  // proves nothing (the worker may not have dequeued it yet), so the loop
+  // retries until the worker has taken a probe.
   std::vector<std::future<ProbeResponse>> fillers;
   for (;;) {
     ProbeRequest wedge = MakeRequest(&svc, "ASK { ?a :p ?b . }");
@@ -161,16 +171,14 @@ TEST(BatchTest, GroupedShedIsAllOrNothingWithZeroCallbacks) {
     auto future = svc.Submit(std::move(wedge));
     if (!future.ok()) {
       ASSERT_EQ(future.status().code(), util::StatusCode::kResourceExhausted);
-      break;
+      if (fillers.size() >= 2) break;
+      std::this_thread::yield();
+      continue;
     }
     fillers.push_back(std::move(future).value());
     ASSERT_LE(fillers.size(), 8u) << "queue never filled";
   }
 
-  std::vector<ProbeRequest> group;
-  for (int i = 0; i < 3; ++i) {
-    group.push_back(MakeRequest(&svc, "ASK { ?a :p ?b . }"));
-  }
   std::atomic<std::size_t> callbacks{0};
   const util::Status admitted = svc.SubmitBatch(
       std::move(group),
