@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <csignal>
-#include <cstring>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -10,6 +9,7 @@
 #include <unistd.h>
 #endif
 
+#include "util/bytes.h"
 #include "util/failpoint.h"
 
 namespace rdfc {
@@ -25,101 +25,26 @@ constexpr std::uint64_t kRecordPrefixBytes = 4 + 8;
 /// u64 sequence + u64 version + u32 num_ops.
 constexpr std::uint64_t kMinPayloadBytes = 8 + 8 + 4;
 
-/// FNV-1a, byte-compatible with the persistence formats.
-class Checksum {
- public:
-  void Update(const void* data, std::size_t n) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= 0x100000001B3ull;
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ull;
-};
-
-std::uint64_t FnvOf(const std::string& payload) {
-  Checksum sum;
-  sum.Update(payload.data(), payload.size());
-  return sum.value();
-}
-
 /// The 24-byte file header for `base_sequence`.
 std::string HeaderBytes(std::uint64_t base_sequence) {
-  Checksum sum;
-  sum.Update(kJournalMagic, sizeof(kJournalMagic));
-  sum.Update(&base_sequence, sizeof(base_sequence));
-  const std::uint64_t checksum = sum.value();
-  std::string header(kJournalMagic, sizeof(kJournalMagic));
-  header.append(reinterpret_cast<const char*>(&base_sequence),
-                sizeof(base_sequence));
-  header.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  std::string header;
+  util::ByteWriter w(&header);
+  w.Raw(kJournalMagic, sizeof(kJournalMagic));
+  w.U64(base_sequence);
+  w.U64(util::Fnv1a(header));
   return header;
 }
 
-/// In-memory payload encoder: records are assembled fully before any byte
-/// touches the file, so a failed append can roll the file back cleanly.
-class PayloadWriter {
- public:
-  void U8(std::uint8_t v) { Raw(&v, 1); }
-  void U32(std::uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(std::uint64_t v) { Raw(&v, sizeof(v)); }
-  void Str(const std::string& s) {
-    U32(static_cast<std::uint32_t>(s.size()));
-    Raw(s.data(), s.size());
-  }
-  void Raw(const void* data, std::size_t n) {
-    buffer_.append(static_cast<const char*>(data), n);
-  }
-  const std::string& buffer() const { return buffer_; }
-
- private:
-  std::string buffer_;
-};
-
-/// Bounds-checked cursor over one record payload.  Any short read means the
-/// record is corrupt despite a matching checksum — the caller truncates.
-class PayloadReader {
- public:
-  explicit PayloadReader(const std::string& payload) : payload_(payload) {}
-
-  bool U8(std::uint8_t* v) { return Raw(v, 1); }
-  bool U32(std::uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(std::uint64_t* v) { return Raw(v, sizeof(*v)); }
-  bool Str(std::string* s) {
-    std::uint32_t n = 0;
-    if (!U32(&n)) return false;
-    if (n > payload_.size() - pos_) return false;
-    s->assign(payload_, pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool Raw(void* data, std::size_t n) {
-    if (n > payload_.size() - pos_) return false;
-    std::memcpy(data, payload_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool exhausted() const { return pos_ == payload_.size(); }
-
- private:
-  const std::string& payload_;
-  std::size_t pos_ = 0;
-};
-
-void EncodeTerm(PayloadWriter* w, const rdf::TermDictionary& dict,
+void EncodeTerm(util::ByteWriter* w, const rdf::TermDictionary& dict,
                 rdf::TermId id) {
   w->U8(static_cast<std::uint8_t>(dict.kind(id)));
   w->Str(dict.lexical(id));
 }
 
-bool DecodeTerm(PayloadReader* r, rdf::TermDictionary* dict,
+bool DecodeTerm(util::ByteReader* r, rdf::TermDictionary* dict,
                 rdf::TermId* out) {
   std::uint8_t kind = 0;
-  std::string lexical;
+  std::string_view lexical;
   if (!r->U8(&kind) || kind > 3 || !r->Str(&lexical)) return false;
   *out = dict->Intern(static_cast<rdf::TermKind>(kind), lexical);
   return true;
@@ -127,16 +52,16 @@ bool DecodeTerm(PayloadReader* r, rdf::TermDictionary* dict,
 
 /// Parses one payload into a batch, interning add-op terms.  Returns false
 /// on any structural violation (the record is then treated as corrupt).
-bool DecodeBatch(const std::string& payload, rdf::TermDictionary* dict,
+bool DecodeBatch(std::string_view payload, rdf::TermDictionary* dict,
                  JournalBatch* batch) {
-  PayloadReader r(payload);
+  util::ByteReader r(payload);
   std::uint32_t num_ops = 0;
   if (!r.U64(&batch->sequence) || !r.U64(&batch->version) || !r.U32(&num_ops)) {
     return false;
   }
   // Each op takes at least kind + view_id bytes; a count the payload cannot
   // hold is corruption — reject before sizing the vector by it.
-  if (static_cast<std::uint64_t>(num_ops) * 9 > payload.size()) return false;
+  if (static_cast<std::uint64_t>(num_ops) * 9 > r.remaining()) return false;
   batch->ops.reserve(num_ops);
   for (std::uint32_t i = 0; i < num_ops; ++i) {
     JournalOp op;
@@ -150,7 +75,7 @@ bool DecodeBatch(const std::string& payload, rdf::TermDictionary* dict,
     if (op.kind == JournalOp::Kind::kAdd) {
       std::uint32_t num_triples = 0;
       if (!r.U32(&num_triples)) return false;
-      if (static_cast<std::uint64_t>(num_triples) * 18 > payload.size()) {
+      if (static_cast<std::uint64_t>(num_triples) * 18 > r.remaining()) {
         return false;
       }
       for (std::uint32_t t = 0; t < num_triples; ++t) {
@@ -314,24 +239,17 @@ util::Status WriteAheadJournal::ReplayAndRecover(rdf::TermDictionary* dict,
   // based at the watermark.  Headers are only ever replaced by an atomic
   // rename, so a corrupt one is media damage and the records behind it
   // cannot be trusted.
-  bool header_ok = size >= kHeaderBytes;
+  // A header is valid exactly when it re-encodes to itself, which checks
+  // the magic and the checksum.
+  char header[kHeaderBytes] = {};
+  const std::string_view header_bytes(header, kHeaderBytes);
+  util::ByteReader header_reader(header_bytes.substr(sizeof(kJournalMagic)));
   std::uint64_t base_sequence = 0;
-  if (header_ok) {
-    char magic[8] = {};
-    std::uint64_t stored_sum = 0;
-    header_ok = std::fread(magic, 1, sizeof(magic), file_) == sizeof(magic) &&
-                std::fread(&base_sequence, 1, sizeof(base_sequence), file_) ==
-                    sizeof(base_sequence) &&
-                std::fread(&stored_sum, 1, sizeof(stored_sum), file_) ==
-                    sizeof(stored_sum);
-    if (header_ok) {
-      Checksum sum;
-      sum.Update(magic, sizeof(magic));
-      sum.Update(&base_sequence, sizeof(base_sequence));
-      header_ok = std::memcmp(magic, kJournalMagic, sizeof(magic)) == 0 &&
-                  stored_sum == sum.value();
-    }
-  }
+  const bool header_ok =
+      size >= kHeaderBytes &&
+      std::fread(header, 1, kHeaderBytes, file_) == kHeaderBytes &&
+      header_reader.U64(&base_sequence) &&
+      header_bytes == HeaderBytes(base_sequence);
   if (!header_ok) {
     stats_.truncated_bytes += size;
     stats_.last_sequence = watermark;
@@ -348,17 +266,19 @@ util::Status WriteAheadJournal::ReplayAndRecover(rdf::TermDictionary* dict,
   bool torn = false;
   while (offset < size) {
     const std::uint64_t remaining = size - offset;
-    std::uint32_t payload_len = 0;
-    std::uint64_t stored_sum = 0;
+    char prefix[kRecordPrefixBytes];
     if (remaining < kRecordPrefixBytes ||
-        std::fread(&payload_len, 1, sizeof(payload_len), file_) !=
-            sizeof(payload_len) ||
-        std::fread(&stored_sum, 1, sizeof(stored_sum), file_) !=
-            sizeof(stored_sum)) {
+        std::fread(prefix, 1, kRecordPrefixBytes, file_) !=
+            kRecordPrefixBytes) {
       torn = true;
       break;
     }
-    if (payload_len < kMinPayloadBytes ||
+    util::ByteReader prefix_reader(
+        std::string_view(prefix, kRecordPrefixBytes));
+    std::uint32_t payload_len = 0;
+    std::uint64_t stored_sum = 0;
+    if (!prefix_reader.U32(&payload_len) || !prefix_reader.U64(&stored_sum) ||
+        payload_len < kMinPayloadBytes ||
         payload_len > remaining - kRecordPrefixBytes) {
       torn = true;
       break;
@@ -369,8 +289,8 @@ util::Status WriteAheadJournal::ReplayAndRecover(rdf::TermDictionary* dict,
       break;
     }
     std::uint64_t sequence = 0;
-    std::memcpy(&sequence, payload.data(), sizeof(sequence));
-    if (FnvOf(payload) != stored_sum ||
+    if (!util::ByteReader(payload).U64(&sequence) ||
+        util::Fnv1a(payload) != stored_sum ||
         sequence != stats_.last_sequence + 1) {
       torn = true;
       break;
@@ -424,7 +344,8 @@ util::Status WriteAheadJournal::Append(const JournalBatch& batch,
     return util::Status::Internal("failpoint journal.append");
   }
 
-  PayloadWriter w;
+  std::string payload;
+  util::ByteWriter w(&payload);
   w.U64(batch.sequence);
   w.U64(batch.version);
   w.U32(static_cast<std::uint32_t>(batch.ops.size()));
@@ -440,16 +361,12 @@ util::Status WriteAheadJournal::Append(const JournalBatch& batch,
       }
     }
   }
-  const std::string& payload = w.buffer();
-  const std::uint32_t payload_len = static_cast<std::uint32_t>(payload.size());
-  const std::uint64_t payload_sum = FnvOf(payload);
   std::string record;
   record.reserve(kRecordPrefixBytes + payload.size());
-  record.append(reinterpret_cast<const char*>(&payload_len),
-                sizeof(payload_len));
-  record.append(reinterpret_cast<const char*>(&payload_sum),
-                sizeof(payload_sum));
-  record.append(payload);
+  util::ByteWriter record_writer(&record);
+  record_writer.U32(static_cast<std::uint32_t>(payload.size()));
+  record_writer.U64(util::Fnv1a(payload));
+  record_writer.Raw(payload);
 
   const std::uint64_t pre = end_offset_;
   if (RDFC_FAILPOINT("journal.crash")) {
@@ -519,10 +436,13 @@ util::Status WriteAheadJournal::Rebase(std::uint64_t watermark) {
   bool ok = std::fflush(file_) == 0;
   for (std::uint64_t seq = base_sequence_;
        ok && seq < std::min(watermark, stats_.last_sequence); ++seq) {
+    char len_bytes[4];
     std::uint32_t payload_len = 0;
     ok = std::fseek(file_, static_cast<long>(offset), SEEK_SET) == 0 &&
-         std::fread(&payload_len, 1, sizeof(payload_len), file_) ==
-             sizeof(payload_len);
+         std::fread(len_bytes, 1, sizeof(len_bytes), file_) ==
+             sizeof(len_bytes) &&
+         util::ByteReader(std::string_view(len_bytes, sizeof(len_bytes)))
+             .U32(&payload_len);
     offset += kRecordPrefixBytes + payload_len;
   }
   ok = ok && offset <= end_offset_;

@@ -75,7 +75,8 @@ struct JournalStats {
 
 /// Append-only write-ahead journal for the delta tier (magic "RDFCWJ01").
 ///
-/// File layout:
+/// File layout, little-endian through the shared byte codec (util/bytes.h:
+/// util::ByteWriter / util::ByteReader, util::Fnv1a checksums):
 ///
 ///   header   magic[8] + u64 base_sequence + u64 FNV-1a(magic+base)
 ///   record*  u32 payload_len + u64 FNV-1a(payload) + payload

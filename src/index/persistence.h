@@ -12,15 +12,17 @@
 namespace rdfc {
 namespace index {
 
-/// Binary image of a frozen index (magic "RDFCFZ01"; little-endian, trailing
-/// FNV-1a checksum, written through a crash-safe tmp + fsync + rename).
+/// Binary image of a frozen index (magic "RDFCFZ01").  Both formats here are
+/// encoded in memory through the shared byte codec (util/bytes.h:
+/// little-endian, trailing util::Fnv1a checksum over every byte before it)
+/// and written whole through a crash-safe tmp + fsync + rename.
 ///
 /// The term dictionary in id order comes first, then the frozen tree
 /// structure as a single relocatable blob: a count header plus the five flat
 /// arrays, every cross-reference an array index.
-/// LoadFrozenIndex reads the blob with one fread and slices it into the
-/// in-memory arrays — no per-node rebuild, so load cost is I/O plus the
-/// entry-table preparation (deterministic PrepareStored per live entry,
+/// LoadFrozenIndex reads the file once, checks its checksum, and slices the
+/// blob from that buffer into the in-memory arrays — no per-node rebuild,
+/// so load cost is I/O plus the entry-table preparation (deterministic PrepareStored per live entry,
 /// which also re-registers the canonical variables the probe walk looks up).
 /// Tokens are stored in an explicit packed form so on-disk bytes never
 /// depend on struct padding; term ids are mapped through the dictionary
@@ -87,7 +89,10 @@ struct TieredImage {
 /// so a crash between the two (failpoint `compact.crash`) leaves the
 /// previous manifest naming the previous blobs — always a consistent,
 /// loadable checkpoint.  After the manifest commits, the committed blobs it
-/// no longer names are removed (best effort).
+/// no longer names are removed (best effort).  A save that fails after
+/// writing blobs removes the blobs it wrote (best effort), never one the
+/// committed manifest names: with `committed` unknown, a blob that existed
+/// before the call is kept.
 [[nodiscard]] util::Status SaveTieredIndex(
     const std::vector<TieredShardRef>& shards, std::uint64_t watermark,
     const std::string& path, const std::vector<TieredBlob>& committed);

@@ -1,131 +1,19 @@
 #include "net/wire.h"
 
-#include <cstring>
+#include "util/bytes.h"
 
 namespace rdfc {
 namespace net {
 
 namespace {
 
-void AppendU8(std::uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-
-void AppendU32(std::uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (i * 8)) & 0xff));
-  }
-}
-
-void AppendU64(std::uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (i * 8)) & 0xff));
-  }
-}
-
-void AppendF64(double v, std::string* out) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(bits, out);
-}
-
-/// Bounds-checked little-endian reader over a frame payload.  Every Read*
-/// fails (and poisons the cursor) instead of running past the end, so torn
-/// or malicious frames decode to an error, never to garbage.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ReadU8(std::uint8_t* v) {
-    if (!Ensure(1)) return false;
-    *v = static_cast<std::uint8_t>(bytes_[pos_++]);
-    return true;
-  }
-
-  bool ReadU32(std::uint32_t* v) {
-    if (!Ensure(4)) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(
-                static_cast<std::uint8_t>(bytes_[pos_ + i]))
-            << (i * 8);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(std::uint64_t* v) {
-    if (!Ensure(8)) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(
-                static_cast<std::uint8_t>(bytes_[pos_ + i]))
-            << (i * 8);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool ReadF64(double* v) {
-    std::uint64_t bits = 0;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-
-  /// String prefixed by its u32 byte length.
-  bool ReadString(std::string* v) {
-    std::uint32_t len = 0;
-    if (!ReadU32(&len)) return false;
-    if (!Ensure(len)) return false;
-    v->assign(bytes_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  /// u64 vector prefixed by its u32 element count.
-  bool ReadU64Vector(std::vector<std::uint64_t>* v) {
-    std::uint32_t count = 0;
-    if (!ReadU32(&count)) return false;
-    // Each element needs 8 payload bytes, so `count` is implicitly bounded
-    // by the frame size — no allocation beyond what the peer actually sent.
-    if (!Ensure(static_cast<std::size_t>(count) * 8)) return false;
-    v->clear();
-    v->reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint64_t e = 0;
-      if (!ReadU64(&e)) return false;
-      v->push_back(e);
-    }
-    return true;
-  }
-
-  bool exhausted() const { return ok_ && pos_ == bytes_.size(); }
-  bool ok() const { return ok_; }
-
- private:
-  bool Ensure(std::size_t n) {
-    if (!ok_ || bytes_.size() - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
 /// Fills in the length prefix reserved at `frame_start` once the payload is
 /// fully appended.
 void PatchFrameLength(std::size_t frame_start, std::string* out) {
-  const std::size_t payload = out->size() - frame_start - kFramePrefixBytes;
-  for (int i = 0; i < 4; ++i) {
-    (*out)[frame_start + i] =
-        static_cast<char>((payload >> (i * 8)) & 0xff);
-  }
+  std::string prefix;
+  util::ByteWriter(&prefix).U32(static_cast<std::uint32_t>(
+      out->size() - frame_start - kFramePrefixBytes));
+  out->replace(frame_start, kFramePrefixBytes, prefix);
 }
 
 }  // namespace
@@ -153,46 +41,44 @@ const char* WireStatusName(WireStatus status) {
 void EncodeRequest(const WireRequest& request, std::string* out) {
   const std::size_t frame_start = out->size();
   out->append(kFramePrefixBytes, '\0');
-  AppendU8(kWireVersion, out);
-  AppendU8(static_cast<std::uint8_t>(request.opcode), out);
-  AppendU64(request.id, out);
-  AppendU32(request.deadline_ms, out);
-  AppendU32(request.simulated_io_micros, out);
-  AppendU32(static_cast<std::uint32_t>(request.query.size()), out);
-  out->append(request.query);
+  util::ByteWriter w(out);
+  w.U8(kWireVersion);
+  w.U8(static_cast<std::uint8_t>(request.opcode));
+  w.U64(request.id);
+  w.U32(request.deadline_ms);
+  w.U32(request.simulated_io_micros);
+  w.Str(request.query);
   PatchFrameLength(frame_start, out);
 }
 
 void EncodeResponse(const WireResponse& response, std::string* out) {
   const std::size_t frame_start = out->size();
   out->append(kFramePrefixBytes, '\0');
-  AppendU8(kWireVersion, out);
-  AppendU8(static_cast<std::uint8_t>(response.status), out);
+  util::ByteWriter w(out);
+  w.U8(kWireVersion);
+  w.U8(static_cast<std::uint8_t>(response.status));
   std::uint8_t flags = 0;
   if (response.degraded) flags |= 1;
   if (response.quarantined) flags |= 2;
-  AppendU8(flags, out);
-  AppendU64(response.id, out);
-  AppendU64(response.snapshot_version, out);
-  AppendU32(response.candidates, out);
-  AppendU32(response.np_checks, out);
-  AppendF64(response.server_micros, out);
-  AppendU32(static_cast<std::uint32_t>(response.containing_views.size()), out);
-  for (std::uint64_t v : response.containing_views) AppendU64(v, out);
-  AppendU32(static_cast<std::uint32_t>(response.unverified_views.size()), out);
-  for (std::uint64_t v : response.unverified_views) AppendU64(v, out);
-  AppendU32(static_cast<std::uint32_t>(response.payload.size()), out);
-  out->append(response.payload);
+  w.U8(flags);
+  w.U64(response.id);
+  w.U64(response.snapshot_version);
+  w.U32(response.candidates);
+  w.U32(response.np_checks);
+  w.F64(response.server_micros);
+  w.U64Vector(response.containing_views);
+  w.U64Vector(response.unverified_views);
+  w.Str(response.payload);
   PatchFrameLength(frame_start, out);
 }
 
 util::Status DecodeRequest(std::string_view payload, WireRequest* out) {
-  Cursor c(payload);
+  util::ByteReader r(payload);
   std::uint8_t version = 0;
   std::uint8_t opcode = 0;
-  if (!c.ReadU8(&version) || !c.ReadU8(&opcode) || !c.ReadU64(&out->id) ||
-      !c.ReadU32(&out->deadline_ms) || !c.ReadU32(&out->simulated_io_micros) ||
-      !c.ReadString(&out->query)) {
+  if (!r.U8(&version) || !r.U8(&opcode) || !r.U64(&out->id) ||
+      !r.U32(&out->deadline_ms) || !r.U32(&out->simulated_io_micros) ||
+      !r.Str(&out->query)) {
     return util::Status::ParseError("truncated request frame");
   }
   if (version != kWireVersion) {
@@ -203,24 +89,22 @@ util::Status DecodeRequest(std::string_view payload, WireRequest* out) {
     return util::Status::ParseError("unknown opcode");
   }
   out->opcode = static_cast<Opcode>(opcode);
-  if (!c.exhausted()) {
+  if (!r.exhausted()) {
     return util::Status::ParseError("trailing bytes after request frame");
   }
   return util::Status::OK();
 }
 
 util::Status DecodeResponse(std::string_view payload, WireResponse* out) {
-  Cursor c(payload);
+  util::ByteReader r(payload);
   std::uint8_t version = 0;
   std::uint8_t status = 0;
   std::uint8_t flags = 0;
-  if (!c.ReadU8(&version) || !c.ReadU8(&status) || !c.ReadU8(&flags) ||
-      !c.ReadU64(&out->id) || !c.ReadU64(&out->snapshot_version) ||
-      !c.ReadU32(&out->candidates) || !c.ReadU32(&out->np_checks) ||
-      !c.ReadF64(&out->server_micros) ||
-      !c.ReadU64Vector(&out->containing_views) ||
-      !c.ReadU64Vector(&out->unverified_views) ||
-      !c.ReadString(&out->payload)) {
+  if (!r.U8(&version) || !r.U8(&status) || !r.U8(&flags) ||
+      !r.U64(&out->id) || !r.U64(&out->snapshot_version) ||
+      !r.U32(&out->candidates) || !r.U32(&out->np_checks) ||
+      !r.F64(&out->server_micros) || !r.U64Vector(&out->containing_views) ||
+      !r.U64Vector(&out->unverified_views) || !r.Str(&out->payload)) {
     return util::Status::ParseError("truncated response frame");
   }
   if (version != kWireVersion) {
@@ -232,7 +116,7 @@ util::Status DecodeResponse(std::string_view payload, WireResponse* out) {
   out->status = static_cast<WireStatus>(status);
   out->degraded = (flags & 1) != 0;
   out->quarantined = (flags & 2) != 0;
-  if (!c.exhausted()) {
+  if (!r.exhausted()) {
     return util::Status::ParseError("trailing bytes after response frame");
   }
   return util::Status::OK();
@@ -240,10 +124,7 @@ util::Status DecodeResponse(std::string_view payload, WireResponse* out) {
 
 std::uint32_t PeekFrameLength(std::string_view bytes) {
   std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[i]))
-           << (i * 8);
-  }
+  util::ByteReader(bytes).U32(&len);
   return len;
 }
 

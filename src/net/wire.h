@@ -13,9 +13,10 @@ namespace net {
 /// Framed-TCP wire protocol of the network front end (DESIGN.md "Network
 /// front end").  Every message is one frame: a little-endian u32 payload
 /// length followed by that many payload bytes.  Payloads are compact binary
-/// (fixed-width little-endian integers, length-prefixed strings) so the
-/// server never heap-parses under load; the stats payload carries JSON as an
-/// opaque byte string.
+/// (fixed-width little-endian integers, length-prefixed strings), encoded
+/// and bounds-check decoded through the byte codec the journal and
+/// checkpoint formats share (util/bytes.h), so the server never heap-parses
+/// under load; the stats payload carries JSON as an opaque byte string.
 ///
 /// The frame length prefix deliberately excludes itself: a 12-byte payload
 /// travels as 16 bytes on the wire.  Frames above the server's configured

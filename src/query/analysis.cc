@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "query/serialisation.h"
+#include "util/bytes.h"
 #include "util/union_find.h"
 
 namespace rdfc {
@@ -112,26 +113,18 @@ std::uint64_t AnchorSignature(const BgpQuery& query,
   if (query.empty()) return 0;
   const rdf::TermId anchor = ChooseAnchor(query);
 
-  constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-  constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-  auto fnv = [](std::uint64_t h, std::string_view bytes) {
-    for (const char c : bytes) {
-      h ^= static_cast<unsigned char>(c);
-      h *= kFnvPrime;
-    }
-    return h;
-  };
   // One hash per anchor-incident edge: direction tag, the predicate's
   // lexical form (a fixed marker for variable predicates — they canonicalise
   // away), and for rdf:type edges the class object, so signatures separate
   // by the anchor's class set, not just "has a type edge".
   auto edge_hash = [&](const char* tag, rdf::TermId pred, rdf::TermId other) {
-    std::uint64_t h = fnv(kFnvOffset, tag);
-    h = dict.IsVariable(pred) ? fnv(h, "?") : fnv(h, dict.lexical(pred));
+    constexpr std::string_view kVar = "?";
+    std::uint64_t h = util::Fnv1a(tag);
+    h = util::Fnv1a(dict.IsVariable(pred) ? kVar : dict.lexical(pred), h);
     if (!dict.IsVariable(pred) &&
         dict.lexical(pred) ==
             "http://www.w3.org/1999/02/22-rdf-syntax-ns#type") {
-      h = dict.IsConstant(other) ? fnv(h, dict.lexical(other)) : fnv(h, "?");
+      h = util::Fnv1a(dict.IsConstant(other) ? dict.lexical(other) : kVar, h);
     }
     return h;
   };
@@ -145,13 +138,8 @@ std::uint64_t AnchorSignature(const BgpQuery& query,
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
-  std::uint64_t h = kFnvOffset;
-  for (const std::uint64_t e : edges) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (e >> (i * 8)) & 0xff;
-      h *= kFnvPrime;
-    }
-  }
+  std::uint64_t h = util::kFnv1aOffset;
+  for (const std::uint64_t e : edges) h = util::Fnv1aU64(e, h);
   return h == 0 ? 1 : h;  // reserve 0 for "empty query"
 }
 

@@ -7,6 +7,7 @@
 #include "containment/pipeline.h"
 #include "query/analysis.h"
 #include "util/budget.h"
+#include "util/bytes.h"
 #include "util/timer.h"
 
 namespace rdfc {
@@ -18,17 +19,9 @@ namespace {
 /// are stable for the lifetime of the service dictionary, so resubmissions
 /// of the same probe text hash identically.
 std::uint64_t ProbeKey(const query::BgpQuery& q) {
-  std::uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = util::kFnv1aOffset;
   for (const rdf::Triple& t : q.patterns()) {
-    mix(t.s);
-    mix(t.p);
-    mix(t.o);
+    for (const rdf::TermId id : {t.s, t.p, t.o}) h = util::Fnv1aU64(id, h);
   }
   return h;
 }

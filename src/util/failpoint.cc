@@ -4,6 +4,8 @@
 
 #include <cstdlib>
 
+#include "util/bytes.h"
+
 namespace rdfc {
 namespace util {
 
@@ -11,14 +13,7 @@ namespace {
 
 /// FNV-1a over the site name; XORed into the configure seed so every site
 /// gets an independent, reproducible PRNG stream.
-std::uint64_t SiteHash(const std::string& site) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (const char c : site) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
+std::uint64_t SiteHash(const std::string& site) { return Fnv1a(site); }
 
 }  // namespace
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <random>
 #include <string>
@@ -449,6 +450,7 @@ class TieredPersistenceTest : public TieredIndexTest {
  protected:
   void TearDown() override {
     std::remove(path_.c_str());
+    std::remove((path_ + ".tmp").c_str());
     // Base blobs are named <path>.base.<shard>.<generation>.
     for (std::size_t shard = 0; shard < IndexSnapshot::kMaxShards; ++shard) {
       for (std::uint64_t gen = 0; gen < 8; ++gen) {
@@ -588,6 +590,60 @@ TEST_F(TieredPersistenceTest, CheckpointKeepsOnlyTheBlobsItNames) {
   ASSERT_TRUE(restored.SaveTiered(path_).ok());  // folds to generation 4
   EXPECT_FALSE(exists(blob(3)));
   EXPECT_TRUE(exists(blob(4)));
+}
+
+TEST_F(TieredPersistenceTest, FailedCheckpointLeavesNoOrphanBlobs) {
+  // A checkpoint whose manifest cannot be written must remove the base
+  // blobs it wrote (no manifest names them), and must never remove a blob
+  // the committed manifest names.  A directory at the manifest's temp path
+  // makes the manifest write fail after every blob has been written.
+  TierOptions tier;
+  tier.background_compaction = false;
+  tier.num_shards = 1;
+  auto blobs_on_disk = [this] {
+    std::vector<std::string> names;
+    const std::string prefix = path_ + ".base.";
+    for (const auto& entry : std::filesystem::directory_iterator(".")) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind(prefix, 0) == 0) names.push_back(name);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  const std::vector<std::string> committed = {path_ + ".base.0.1"};
+  const std::string tmp_dir = path_ + ".tmp";
+
+  IndexManager manager(&dict_, {}, tier);
+  ASSERT_TRUE(manager.StageAdd(Q(ViewText(0))).ok());
+  ASSERT_TRUE(manager.Publish().ok());
+  ASSERT_TRUE(manager.Refreeze().ok());  // generation 1
+  ASSERT_TRUE(manager.SaveTiered(path_).ok());
+  ASSERT_EQ(blobs_on_disk(), committed);
+
+  ASSERT_TRUE(manager.StageAdd(Q(ViewText(1))).ok());
+  ASSERT_TRUE(manager.Publish().ok());
+  ASSERT_TRUE(manager.Refreeze().ok());  // generation 2
+  ASSERT_TRUE(std::filesystem::create_directory(tmp_dir));
+  EXPECT_FALSE(manager.SaveTiered(path_).ok());
+  EXPECT_EQ(blobs_on_disk(), committed);
+  rdf::TermDictionary dict3;
+  IndexManager restored(&dict3, {}, tier);
+  ASSERT_TRUE(restored.RestoreTiered(path_).ok());
+
+  // A manager that does not know the committed manifest writes a blob of
+  // the same name; the failed save must leave that blob in place.
+  rdf::TermDictionary dict2;
+  IndexManager other(&dict2, {}, tier);
+  ASSERT_TRUE(other.StageAdd(ParseOrDie(ViewText(2), &dict2)).ok());
+  ASSERT_TRUE(other.Publish().ok());
+  ASSERT_TRUE(other.Refreeze().ok());  // generation 1, like the committed
+  EXPECT_FALSE(other.SaveTiered(path_).ok());
+  EXPECT_EQ(blobs_on_disk(), committed);
+  std::filesystem::remove(tmp_dir);
+
+  // With the obstacle gone the next save goes through.
+  ASSERT_TRUE(manager.SaveTiered(path_).ok());
+  EXPECT_EQ(blobs_on_disk(), std::vector<std::string>{path_ + ".base.0.2"});
 }
 
 TEST_F(TieredPersistenceTest, RestoreRequiresFreshManager) {

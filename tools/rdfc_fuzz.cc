@@ -27,10 +27,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <system_error>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <stdlib.h>  // mkdtemp is POSIX, not in <cstdlib>
-#endif
 
 #include "containment/homomorphism.h"
 #include "containment/pipeline.h"
@@ -118,18 +118,11 @@ int FailpointFail(const char* what, const util::Status& st) {
 
 /// The fault-injection campaign.  Each part configures a schedule, hammers
 /// one subsystem, and checks its resilience contract after every injected
-/// fault.  Deterministic given `seed`.
-int RunFailpointCampaign(std::uint64_t seed, bool smoke, bool verbose) {
+/// fault.  Deterministic given `seed`.  Every file it makes lives in `dir`.
+int RunFailpointCampaignIn(const std::string& dir, std::uint64_t seed,
+                           bool smoke, bool verbose) {
   auto& registry = util::FailpointRegistry::Instance();
   const std::size_t rounds = smoke ? 40 : 400;
-
-#if defined(__unix__) || defined(__APPLE__)
-  char tmpl[] = "/tmp/rdfc_fuzz_XXXXXX";
-  const char* tmp = mkdtemp(tmpl);
-  const std::string dir = tmp != nullptr ? tmp : ".";
-#else
-  const std::string dir = ".";
-#endif
 
   // --- Part 1: persistence.  A failed (or "crashed") save must leave the
   // previous image loadable with its live count; a successful one must load
@@ -463,7 +456,6 @@ int RunFailpointCampaign(std::uint64_t seed, bool smoke, bool verbose) {
   std::size_t journal_faults = 0;
   {
     const std::string wal = dir + "/service.wal";
-    std::remove(wal.c_str());
     const std::vector<std::string> probe_texts = {
         "ASK { ?a <urn:fz:p0> ?b . }",
         "ASK { ?a <urn:fz:p1> ?b . ?b <urn:fz:p2> ?c . }",
@@ -665,12 +657,7 @@ int RunFailpointCampaign(std::uint64_t seed, bool smoke, bool verbose) {
                                    "be skipped"));
       }
       if (int failed = answers_diverge(svc); failed != 0) return failed;
-      std::remove(ckpt.c_str());
-      for (std::size_t s = 0; s < service::IndexSnapshot::kMaxShards; ++s) {
-        std::remove((ckpt + ".base." + std::to_string(s) + ".1").c_str());
-      }
     }
-    std::remove(wal.c_str());
   }
 
   if (verbose) {
@@ -681,6 +668,24 @@ int RunFailpointCampaign(std::uint64_t seed, bool smoke, bool verbose) {
     std::printf("OK (failpoints)\n");
   }
   return 0;
+}
+
+/// Runs the campaign in a fresh directory under $TMPDIR (default /tmp) and
+/// removes the directory when it ends, whether the campaign passed or not.
+int RunFailpointCampaign(std::uint64_t seed, bool smoke, bool verbose) {
+  const char* tmpdir = std::getenv("TMPDIR");
+  std::string tmpl = std::string(tmpdir != nullptr && *tmpdir != '\0'
+                                     ? tmpdir
+                                     : "/tmp") +
+                     "/rdfc_fuzz_XXXXXX";
+  if (mkdtemp(tmpl.data()) == nullptr) {
+    return FailpointFail("campaign directory",
+                         util::Status::Internal("mkdtemp failed: " + tmpl));
+  }
+  const int result = RunFailpointCampaignIn(tmpl, seed, smoke, verbose);
+  std::error_code ignored;
+  std::filesystem::remove_all(tmpl, ignored);
+  return result;
 }
 
 #else  // !RDFC_FAILPOINTS
