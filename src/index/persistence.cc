@@ -411,14 +411,15 @@ util::Status SaveTieredIndex(const std::vector<TieredShardRef>& shards,
     return util::Status::InvalidArgument("implausible shard count " +
                                          std::to_string(shards.size()));
   }
-  const bool known = committed.size() == shards.size();
   auto blob_of = [](const TieredShardRef& shard) {
     return TieredBlob{shard.base != nullptr, shard.generation};
   };
+  auto is_committed = [&](std::size_t s) {
+    return s < committed.size() && s < shards.size() &&
+           committed[s] == blob_of(shards[s]);
+  };
   // Blobs this call wrote.  Until the manifest commits nothing names them,
-  // so a failure removes them again (best effort).  With `committed`
-  // unknown, a blob that already existed may be one the committed manifest
-  // names, so it is never listed.
+  // so a failure removes them again (best effort).
   std::vector<std::string> written;
   auto fail = [&written](util::Status st) {
     for (const std::string& blob : written) (void)std::remove(blob.c_str());
@@ -429,14 +430,9 @@ util::Status SaveTieredIndex(const std::vector<TieredShardRef>& shards,
   // between recovers to the older — but consistent — checkpoint.
   for (std::size_t s = 0; s < shards.size(); ++s) {
     if (shards[s].base == nullptr) continue;
-    if (known && committed[s] == blob_of(shards[s])) continue;
+    if (is_committed(s)) continue;
     const std::string blob = TieredBasePath(path, s, shards[s].generation);
-    std::FILE* existing = known ? nullptr : std::fopen(blob.c_str(), "rb");
-    if (existing != nullptr) {
-      std::fclose(existing);
-    } else {
-      written.push_back(blob);
-    }
+    written.push_back(blob);
     if (util::Status st = SaveFrozenIndex(*shards[s].base, blob); !st.ok()) {
       return fail(std::move(st));
     }
@@ -462,8 +458,8 @@ util::Status SaveTieredIndex(const std::vector<TieredShardRef>& shards,
   }
   // The superseded blobs are unreachable now; best effort — a leftover blob
   // is wasted space, never incorrectness.
-  for (std::size_t s = 0; known && s < shards.size(); ++s) {
-    if (committed[s].has_base && committed[s] != blob_of(shards[s])) {
+  for (std::size_t s = 0; s < committed.size(); ++s) {
+    if (committed[s].has_base && !is_committed(s)) {
       (void)std::remove(
           TieredBasePath(path, s, committed[s].generation).c_str());
     }
@@ -471,8 +467,7 @@ util::Status SaveTieredIndex(const std::vector<TieredShardRef>& shards,
   return util::Status::OK();
 }
 
-util::Result<TieredImage> LoadTieredIndex(const std::string& path,
-                                          rdf::TermDictionary* dict) {
+util::Result<TieredManifest> LoadTieredManifest(const std::string& path) {
   std::string contents;
   std::string_view body;
   RDFC_RETURN_NOT_OK(ReadSealed(path, kTieredMagic, &contents, &body));
@@ -482,29 +477,38 @@ util::Result<TieredImage> LoadTieredIndex(const std::string& path,
       num_shards > kMaxTieredShards) {
     return util::Status::ParseError("truncated or implausible shard count");
   }
-  TieredImage image;
-  if (!r.U64(&image.watermark)) {
+  TieredManifest manifest;
+  if (!r.U64(&manifest.watermark)) {
     return util::Status::ParseError("truncated watermark");
   }
-  image.shards.resize(num_shards);
-  std::vector<std::uint8_t> has_base(num_shards, 0);
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    if (!r.U64(&image.shards[s].generation) || !r.U8(&has_base[s]) ||
-        has_base[s] > 1) {
+  manifest.blobs.resize(num_shards);
+  for (TieredBlob& blob : manifest.blobs) {
+    std::uint8_t has_base = 0;
+    if (!r.U64(&blob.generation) || !r.U8(&has_base) || has_base > 1) {
       return util::Status::ParseError("truncated shard header");
     }
+    blob.has_base = has_base == 1;
   }
   if (!r.exhausted()) {
     return util::Status::ParseError("trailing bytes in " + path);
   }
+  return manifest;
+}
 
+util::Result<TieredImage> LoadTieredIndex(const std::string& path,
+                                          rdf::TermDictionary* dict) {
+  RDFC_ASSIGN_OR_RETURN(TieredManifest manifest, LoadTieredManifest(path));
+  TieredImage image;
+  image.watermark = manifest.watermark;
+  image.shards.resize(manifest.blobs.size());
   // Only a checksum-clean manifest names base blobs, so this load never
   // touches a half-written blob from a crashed compaction save.
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    if (has_base[s] == 0) continue;
+  for (std::size_t s = 0; s < manifest.blobs.size(); ++s) {
+    image.shards[s].generation = manifest.blobs[s].generation;
+    if (!manifest.blobs[s].has_base) continue;
     RDFC_ASSIGN_OR_RETURN(
         image.shards[s].base,
-        LoadFrozenIndex(TieredBasePath(path, s, image.shards[s].generation),
+        LoadFrozenIndex(TieredBasePath(path, s, manifest.blobs[s].generation),
                         dict));
   }
   return image;

@@ -62,6 +62,13 @@ struct TieredShardImage {
   std::uint64_t generation = 0;
 };
 
+/// A checkpoint manifest's header: the journal watermark and the blob each
+/// shard names, in routing order.
+struct TieredManifest {
+  std::uint64_t watermark = 0;
+  std::vector<TieredBlob> blobs;
+};
+
 /// A loaded checkpoint (service/index_manager.h "Tiered write path" /
 /// "Sharded index"): one entry per shard in routing order, plus the journal
 /// watermark the bases cover.
@@ -84,18 +91,23 @@ struct TieredImage {
 /// the records with sequence > W over the restored bases.
 ///
 /// `committed` names the blobs of the manifest now at `path` (one entry per
-/// shard), or is empty when unknown.  A shard whose blob is already
-/// committed is not rewritten.  Every new blob commits before the manifest,
-/// so a crash between the two (failpoint `compact.crash`) leaves the
-/// previous manifest naming the previous blobs — always a consistent,
-/// loadable checkpoint.  After the manifest commits, the committed blobs it
-/// no longer names are removed (best effort).  A save that fails after
-/// writing blobs removes the blobs it wrote (best effort), never one the
-/// committed manifest names: with `committed` unknown, a blob that existed
-/// before the call is kept.
+/// shard it lists; empty when there is none).  A shard whose blob is
+/// already committed is not rewritten, and the caller must not pass any
+/// other shard a generation `committed` names for it, since that blob would
+/// be overwritten.  Every new blob commits before the manifest, so a crash
+/// between the two (failpoint `compact.crash`) leaves the previous manifest
+/// naming the previous blobs — always a consistent, loadable checkpoint.
+/// After the manifest commits, the committed blobs it no longer names are
+/// removed (best effort).  A save that fails after writing blobs removes
+/// the blobs it wrote (best effort), never one the committed manifest
+/// names.
 [[nodiscard]] util::Status SaveTieredIndex(
     const std::vector<TieredShardRef>& shards, std::uint64_t watermark,
     const std::string& path, const std::vector<TieredBlob>& committed);
+
+/// Reads and checks the manifest at `path` without opening any blob.
+[[nodiscard]] util::Result<TieredManifest> LoadTieredManifest(
+    const std::string& path);
 
 /// Loads a checkpoint.  `dict` must be freshly constructed; each base blob's
 /// dictionary is re-interned into it.  Base blobs are opened only after the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 
@@ -16,10 +17,61 @@ namespace service {
 
 namespace {
 
+using IdSet = std::vector<std::uint64_t>;  // sorted external view ids
+
 /// True when `value` is in the sorted vector (tombstone/base-id membership).
-bool SortedContains(const std::vector<std::uint64_t>& sorted,
-                    std::uint64_t value) {
+bool SortedContains(const IdSet& sorted, std::uint64_t value) {
   return std::binary_search(sorted.begin(), sorted.end(), value);
+}
+
+/// The id set behind a shared pointer that is null when the set is empty.
+const IdSet& IdsOf(const std::shared_ptr<const IdSet>& ids) {
+  static const IdSet kNoIds;
+  return ids != nullptr ? *ids : kNoIds;
+}
+
+/// The ids a shard shows: (base - tombstones) ∪ delta.
+IdSet VisibleIds(const IdSet& base, const IdSet& tombstones,
+                 const IdSet& delta) {
+  IdSet unmasked, visible;
+  std::set_difference(base.begin(), base.end(), tombstones.begin(),
+                      tombstones.end(), std::back_inserter(unmasked));
+  std::set_union(unmasked.begin(), unmasked.end(), delta.begin(), delta.end(),
+                 std::back_inserter(visible));
+  return visible;
+}
+
+/// Re-expresses a shard's (base, tombstones, delta) ids against `frozen`,
+/// the ids a compaction baked into its new base, as (delta, tombstones):
+/// views the fold did not see stay in the delta, and folded views no longer
+/// visible become tombstones.  The fold read a state no newer than this
+/// one, so `frozen` holds every visible base id.
+std::pair<IdSet, IdSet> Reconcile(const IdSet& frozen, const IdSet& base,
+                                  const IdSet& tombstones,
+                                  const IdSet& delta) {
+  std::pair<IdSet, IdSet> out;
+  std::set_difference(delta.begin(), delta.end(), frozen.begin(),
+                      frozen.end(), std::back_inserter(out.first));
+  const IdSet visible = VisibleIds(base, tombstones, delta);
+  std::set_difference(frozen.begin(), frozen.end(), visible.begin(),
+                      visible.end(), std::back_inserter(out.second));
+  return out;
+}
+
+/// Re-inserts into `into` every live entry of `tier` (a delta MvIndex or a
+/// frozen base) under each external id `keep` accepts.  The entries were
+/// prepared against the same dictionary, so the inserts never intern.
+template <typename Tier, typename Keep>
+util::Status InsertTierEntries(const Tier& tier, const Keep& keep,
+                               index::MvIndex* into) {
+  for (std::uint32_t id = 0; id < tier.num_entries(); ++id) {
+    if (!tier.alive(id)) continue;
+    for (std::uint64_t ext : tier.external_ids(id)) {
+      if (!keep(ext)) continue;
+      RDFC_RETURN_NOT_OK(into->Insert(tier.entry(id).canonical, ext).status());
+    }
+  }
+  return util::Status::OK();
 }
 
 void MergeProbeCounters(const index::ProbeResult& from,
@@ -313,7 +365,6 @@ IndexManager::IndexManager(rdf::TermDictionary* dict,
   // materialise at each shard's first compaction.
   auto empty_tier = std::make_shared<const ShardTier>();
   shards_.resize(num_shards_);
-  shard_records_.resize(num_shards_);
   shard_refreezes_.assign(num_shards_, 0);
   for (ShardState& state : shards_) state.published = empty_tier;
   auto initial = std::make_unique<IndexSnapshot>();
@@ -349,29 +400,17 @@ util::Result<std::uint64_t> IndexManager::StageAdd(query::BgpQuery view) {
 }
 
 void IndexManager::StageAddLocked(std::uint64_t id, query::BgpQuery view) {
-  ViewRecord record;
-  record.id = id;
   // The routing key: dictionary-independent, so it agrees with the
   // signature the network front end computed for batch admission and with
   // whatever dictionary a persisted image is restored into.
-  record.shard = static_cast<std::uint32_t>(
-      query::AnchorSignature(view, *dict_) % num_shards_);
-  record.query = std::move(view);
-  view_pos_.emplace(id, views_.size());
-  shard_records_[record.shard].push_back(views_.size());
-  ShardState& state = shards_[record.shard];
-  views_.push_back(std::move(record));
-  // Ids ascend in stage order and the journal replays them in that order,
-  // so this insert appends.
-  state.pending_delta_ids.insert(
-      std::upper_bound(state.pending_delta_ids.begin(),
-                       state.pending_delta_ids.end(), id),
-      id);
-  staged_ops_.push_back({index::JournalOp::Kind::kAdd, id});
-  // Keep fresh ids disjoint from every id restored or replayed.
-  next_view_id_ = std::max(next_view_id_, id + 1);
+  ShardState& state =
+      shards_[query::AnchorSignature(view, *dict_) % num_shards_];
+  // `id` is at least next_view_id_ (replay refuses any other), so it is the
+  // largest id yet and appending keeps the set sorted.
+  state.pending_delta_ids.push_back(id);
+  staged_.ops.push_back({index::JournalOp::Kind::kAdd, id, std::move(view)});
+  next_view_id_ = id + 1;
   ++num_live_views_;
-  ++num_staged_;
 }
 
 util::Status IndexManager::StageRemove(std::uint64_t view_id) {
@@ -380,32 +419,30 @@ util::Status IndexManager::StageRemove(std::uint64_t view_id) {
 }
 
 util::Status IndexManager::StageRemoveLocked(std::uint64_t view_id) {
-  auto it = view_pos_.find(view_id);
-  if (it == view_pos_.end() || !views_[it->second].alive) {
-    return util::Status::NotFound("unknown or already-removed view id " +
-                                  std::to_string(view_id));
+  // A live view sits in exactly one shard: in its pending delta, or in its
+  // base and not yet tombstoned.  There are at most kMaxShards shards, so
+  // they are searched rather than indexed by id.
+  for (ShardState& state : shards_) {
+    IdSet& delta = state.pending_delta_ids;
+    IdSet& tombstones = state.pending_tombstones;
+    auto pos = std::lower_bound(delta.begin(), delta.end(), view_id);
+    auto tomb = std::lower_bound(tombstones.begin(), tombstones.end(), view_id);
+    if (pos != delta.end() && *pos == view_id) {
+      // A delta-tier (or still-staged) removal drops out of the next build.
+      delta.erase(pos);
+    } else if (SortedContains(IdsOf(state.base_ids), view_id) &&
+               (tomb == tombstones.end() || *tomb != view_id)) {
+      // A base-tier removal becomes a tombstone at the shard's next Publish.
+      tombstones.insert(tomb, view_id);
+    } else {
+      continue;
+    }
+    --num_live_views_;
+    staged_.ops.push_back({index::JournalOp::Kind::kRemove, view_id, {}});
+    return util::Status::OK();
   }
-  ViewRecord& record = views_[it->second];
-  record.alive = false;
-  --num_live_views_;
-  ++num_staged_;
-  ShardState& state = shards_[record.shard];
-  if (record.in_base) {
-    // A base-tier removal becomes a tombstone at the shard's next Publish.
-    state.pending_tombstones.insert(
-        std::upper_bound(state.pending_tombstones.begin(),
-                         state.pending_tombstones.end(), view_id),
-        view_id);
-  } else {
-    // A delta-tier (or still-staged) removal just drops out of the shard's
-    // next delta build.
-    auto pos = std::lower_bound(state.pending_delta_ids.begin(),
-                                state.pending_delta_ids.end(), view_id);
-    RDFC_DCHECK(pos != state.pending_delta_ids.end() && *pos == view_id);
-    state.pending_delta_ids.erase(pos);
-  }
-  staged_ops_.push_back({index::JournalOp::Kind::kRemove, view_id});
-  return util::Status::OK();
+  return util::Status::NotFound("unknown or already-removed view id " +
+                                std::to_string(view_id));
 }
 
 bool IndexManager::ShardDirtyLocked(std::size_t s) const {
@@ -436,17 +473,28 @@ util::Result<std::uint64_t> IndexManager::PublishBatchLocked(
     tier->base_view_ids = state.base_ids;
     tier->tombstones = state.pending_tombstones;
     if (!state.pending_delta_ids.empty()) {
+      // A pending delta id is in the published delta or a staged add, and
+      // staged ids are the larger, so this order inserts in id order.
       auto delta = std::make_unique<index::MvIndex>(dict_, options_);
-      for (std::uint64_t id : state.pending_delta_ids) {
-        const ViewRecord& record = views_[view_pos_.at(id)];
-        auto outcome = delta->Insert(record.query, record.id);
+      auto pending = [&state](std::uint64_t id) {
+        return SortedContains(state.pending_delta_ids, id);
+      };
+      if (state.published->delta != nullptr) {
+        RDFC_RETURN_NOT_OK(
+            InsertTierEntries(*state.published->delta, pending, delta.get()));
+      }
+      for (const index::JournalOp& op : staged_.ops) {
+        if (op.kind != index::JournalOp::Kind::kAdd || !pending(op.view_id)) {
+          continue;
+        }
+        auto outcome = delta->Insert(op.view, op.view_id);
         if (!outcome.ok()) {
           // Abort the transaction: the current version stays published and
           // the staged state is untouched, so the caller can StageRemove the
           // offending view and Publish again.
           return util::Status(outcome.status().code(),
                               "publish aborted by view " +
-                                  std::to_string(record.id) + ": " +
+                                  std::to_string(op.view_id) + ": " +
                                   outcome.status().message());
         }
       }
@@ -467,24 +515,12 @@ util::Result<std::uint64_t> IndexManager::PublishBatchLocked(
     // one that reached the journal.  A failed append aborts like any other
     // publish error: nothing swings, the staged state stays, the caller can
     // retry the same batch.  An empty batch still journals one record, so
-    // the journal sequence counts acknowledged publishes one-for-one.
-    index::JournalBatch batch;
-    batch.sequence = journal_->next_sequence();
-    batch.version = next_version_;
-    batch.ops.reserve(staged_ops_.size());
-    for (const StagedOp& staged : staged_ops_) {
-      index::JournalOp op;
-      op.kind = staged.kind;
-      op.view_id = staged.id;
-      if (staged.kind == index::JournalOp::Kind::kAdd) {
-        // A staged add that was staged-removed again is journalled too (its
-        // record is dead but still holds the query); replay nets it out.
-        op.view = views_[view_pos_.at(staged.id)].query;
-      }
-      batch.ops.push_back(std::move(op));
-    }
-    const util::Status appended = journal_->Append(batch, *dict_);
-    if (!appended.ok()) return appended;
+    // the journal sequence counts acknowledged publishes one-for-one.  A
+    // staged add that was staged-removed again is journalled too; replay
+    // nets it out.
+    staged_.sequence = journal_->next_sequence();
+    staged_.version = next_version_;
+    RDFC_RETURN_NOT_OK(journal_->Append(staged_, *dict_));
   }
   auto next = std::make_unique<IndexSnapshot>();
   next->version = next_version_;
@@ -498,8 +534,8 @@ util::Result<std::uint64_t> IndexManager::PublishBatchLocked(
     shards_[s].published = std::move(tier);
   }
   next->num_views = num_live_views_;
-  num_staged_ = 0;
-  staged_ops_.clear();
+  // Assigned, not cleared, so a large batch's storage is released too.
+  staged_ = index::JournalBatch();
   const std::uint64_t version = SwingLocked(std::move(next));
   MaybeScheduleCompactionLocked();
   return version;
@@ -529,7 +565,7 @@ std::size_t IndexManager::num_live_views() const {
 
 std::size_t IndexManager::num_staged_changes() const {
   util::MutexLock lock(&mu_);
-  return num_staged_;
+  return staged_.ops.size();
 }
 
 std::size_t IndexManager::num_retained_versions() const {
@@ -668,34 +704,26 @@ util::Result<std::uint64_t> IndexManager::RunCompaction(
   for (std::size_t s : dirty) {
     const ShardTier& tier = captured->shard(s);
     auto merged = std::make_unique<index::MvIndex>(dict_, options_);
-    std::vector<std::uint64_t> merged_ids;
-    util::Status build_error = util::Status::OK();
-    auto insert_tier = [&](const auto& tier_index, bool mask_tombstones) {
-      for (std::uint32_t id = 0;
-           build_error.ok() && id < tier_index.num_entries(); ++id) {
-        if (!tier_index.alive(id)) continue;
-        for (std::uint64_t ext : tier_index.external_ids(id)) {
-          if (mask_tombstones && SortedContains(tier.tombstones, ext)) {
-            continue;
-          }
-          auto outcome = merged->Insert(tier_index.entry(id).canonical, ext);
-          if (!outcome.ok()) {
-            build_error = outcome.status();
-            break;
-          }
-          merged_ids.push_back(ext);
-        }
-      }
-    };
-    if (tier.base != nullptr) insert_tier(*tier.base, true);
-    if (tier.delta != nullptr) insert_tier(*tier.delta, false);
-    if (!build_error.ok()) {
-      clear_pin();
-      return util::Status(
-          build_error.code(),
-          "compaction merge failed: " + build_error.message());
+    util::Status built = util::Status::OK();
+    if (tier.base != nullptr) {
+      built = InsertTierEntries(
+          *tier.base,
+          [&tier](std::uint64_t ext) {
+            return !SortedContains(tier.tombstones, ext);
+          },
+          merged.get());
     }
-    std::sort(merged_ids.begin(), merged_ids.end());
+    if (built.ok() && tier.delta != nullptr) {
+      built = InsertTierEntries(
+          *tier.delta, [](std::uint64_t) { return true; }, merged.get());
+    }
+    if (!built.ok()) {
+      clear_pin();
+      return util::Status(built.code(),
+                          "compaction merge failed: " + built.message());
+    }
+    IdSet merged_ids = VisibleIds(
+        IdsOf(tier.base_view_ids), tier.tombstones, tier.delta_view_ids);
     Folded fold;
     fold.shard = s;
     if (!merged_ids.empty()) {
@@ -730,59 +758,42 @@ util::Result<std::uint64_t> IndexManager::RunCompaction(
     next->dict_ptr = dict_;
     next->num_views = cur->num_views;
     next->shards = cur->shards;
-    static const std::vector<std::uint64_t> kNoIds;
     for (Folded& fold : folded) {
       const std::size_t s = fold.shard;
       const ShardTier& cur_tier = cur->shard(s);
-      const std::vector<std::uint64_t>& frozen_ids =
-          fold.frozen_ids != nullptr ? *fold.frozen_ids : kNoIds;
+      const IdSet& frozen_ids = IdsOf(fold.frozen_ids);
+      // The published tier: its delta keeps the views published since the
+      // capture (few, so rebuilding it under mu_ is cheap), its tombstones
+      // mask the folded views removed since.
       auto tier = std::make_shared<ShardTier>();
       tier->base = fold.frozen;
       tier->base_view_ids = fold.frozen_ids;
-      // New delta: the shard's views published since the capture — exactly
-      // cur's delta ids not yet baked into the new base.  Small (the
-      // publishes of one compaction window), so rebuilding it under mu_ is
-      // cheap; the inserts are re-inserts of prepared views (dictionary
-      // fast path, as above).
-      std::vector<std::uint64_t> keep;
-      std::set_difference(cur_tier.delta_view_ids.begin(),
-                          cur_tier.delta_view_ids.end(), frozen_ids.begin(),
-                          frozen_ids.end(), std::back_inserter(keep));
-      if (!keep.empty()) {
+      std::tie(tier->delta_view_ids, tier->tombstones) =
+          Reconcile(frozen_ids, IdsOf(cur_tier.base_view_ids),
+                    cur_tier.tombstones, cur_tier.delta_view_ids);
+      if (!tier->delta_view_ids.empty()) {
         auto delta = std::make_unique<index::MvIndex>(dict_, options_);
-        for (std::uint64_t id : keep) {
-          auto outcome = delta->Insert(views_[view_pos_.at(id)].query, id);
-          RDFC_CHECK(outcome.ok());  // re-insert of a published view
-        }
+        const util::Status kept = InsertTierEntries(
+            *cur_tier.delta,
+            [&tier](std::uint64_t id) {
+              return SortedContains(tier->delta_view_ids, id);
+            },
+            delta.get());
+        RDFC_CHECK(kept.ok());  // re-insert of a published view
         tier->delta = std::move(delta);
-        tier->delta_view_ids = std::move(keep);
       }
-      // New tombstones: ids baked into the new base but no longer visible
-      // in cur — removals published during the build.
-      std::vector<std::uint64_t> visible;
-      if (cur_tier.base_view_ids != nullptr) {
-        std::set_difference(cur_tier.base_view_ids->begin(),
-                            cur_tier.base_view_ids->end(),
-                            cur_tier.tombstones.begin(),
-                            cur_tier.tombstones.end(),
-                            std::back_inserter(visible));
-      }
-      std::vector<std::uint64_t> visible_all;
-      std::set_union(visible.begin(), visible.end(),
-                     cur_tier.delta_view_ids.begin(),
-                     cur_tier.delta_view_ids.end(),
-                     std::back_inserter(visible_all));
-      std::set_difference(frozen_ids.begin(), frozen_ids.end(),
-                          visible_all.begin(), visible_all.end(),
-                          std::back_inserter(tier->tombstones));
       next->shards[s] = tier;
+      // The pending sets, which also carry the staged changes, reconcile
+      // against the same old base.
       ShardState& state = shards_[s];
+      std::tie(state.pending_delta_ids, state.pending_tombstones) =
+          Reconcile(frozen_ids, IdsOf(state.base_ids),
+                    state.pending_tombstones, state.pending_delta_ids);
       state.base = fold.frozen;
       state.base_ids = fold.frozen_ids;
       state.published = std::move(tier);
       ++state.generation;
       ++shard_refreezes_[s];
-      RebuildPendingLocked(s, frozen_ids);
     }
     swung_version = SwingLocked(std::move(next));
     // Every base now holds the captured state: the dirty shards were folded
@@ -802,32 +813,6 @@ util::Result<std::uint64_t> IndexManager::RunCompaction(
   return swung_version;
 }
 
-void IndexManager::RebuildPendingLocked(
-    std::size_t s, const std::vector<std::uint64_t>& new_base_ids) {
-  ShardState& state = shards_[s];
-  state.pending_delta_ids.clear();
-  state.pending_tombstones.clear();
-  // One sweep over the shard's records re-derives both pending sets against
-  // the new base generation: a live view not in the base still needs a delta
-  // slot; a dead view in the base needs a tombstone (whether its removal is
-  // already published or still staged, `alive` is false either way).
-  // O(shard records), once per folded shard per compaction.
-  for (std::size_t pos : shard_records_[s]) {
-    ViewRecord& record = views_[pos];
-    record.in_base = SortedContains(new_base_ids, record.id);
-    if (record.alive && !record.in_base) {
-      state.pending_delta_ids.push_back(record.id);
-    } else if (!record.alive && record.in_base) {
-      state.pending_tombstones.push_back(record.id);
-    }
-  }
-  // Shard records are id-ascending in normal operation but not after
-  // RestoreTiered; sort unconditionally (cheap, and the invariant stays
-  // local).
-  std::sort(state.pending_delta_ids.begin(), state.pending_delta_ids.end());
-  std::sort(state.pending_tombstones.begin(), state.pending_tombstones.end());
-}
-
 // ----------------------------------------------------------------------
 // Persistence
 // ----------------------------------------------------------------------
@@ -839,21 +824,38 @@ util::Status IndexManager::SaveTiered(const std::string& path) {
 }
 
 util::Status IndexManager::WriteCheckpoint(const std::string& path) {
+  std::vector<index::TieredBlob> committed;
+  bool first_here = false;
+  {
+    util::MutexLock lock(&mu_);
+    first_here = path != committed_path_;
+    if (!first_here) committed = committed_blobs_;
+  }
+  if (first_here) {
+    // A manifest this manager did not commit or restore may sit at `path`.
+    // Raising each shard's generation above the one it names (below) keeps
+    // this save from overwriting its blobs.  An unreadable one names none.
+    auto manifest = index::LoadTieredManifest(path);
+    if (manifest.ok()) committed = std::move(manifest.value().blobs);
+  }
   // Pin the bases and copy the watermark together.  The bases are
   // immutable, and only a compaction replaces them (compaction_mu_ is held),
   // so the blobs are written off mu_ while probes and publishes go on.
   std::vector<std::shared_ptr<const index::FrozenMvIndex>> bases;
   std::vector<index::TieredShardRef> refs;
-  std::vector<index::TieredBlob> committed;
   std::uint64_t watermark = 0;
   {
     util::MutexLock lock(&mu_);
-    for (const ShardState& state : shards_) {
+    for (std::size_t s = 0; s < num_shards_; ++s) {
+      ShardState& state = shards_[s];
+      if (first_here && s < committed.size()) {
+        state.generation =
+            std::max(state.generation, committed[s].generation + 1);
+      }
       bases.push_back(state.base);
       refs.push_back({state.base.get(), state.generation});
     }
     watermark = base_watermark_;
-    if (path == committed_path_) committed = committed_blobs_;
   }
   RDFC_RETURN_NOT_OK(
       index::SaveTieredIndex(refs, watermark, path, committed));
@@ -878,7 +880,7 @@ util::Status IndexManager::WriteCheckpoint(const std::string& path) {
 
 util::Status IndexManager::RestoreTiered(const std::string& path) {
   util::MutexLock lock(&mu_);
-  if (next_version_ != 1 || !views_.empty() || num_staged_ != 0) {
+  if (next_version_ != 1 || next_view_id_ != 1) {
     return util::Status::InvalidArgument(
         "RestoreTiered requires a fresh manager");
   }
@@ -903,30 +905,20 @@ util::Status IndexManager::RestoreTiered(const std::string& path) {
     ShardState& state = shards_[s];
     auto tier = std::make_shared<ShardTier>();
     if (shard_image.base != nullptr) {
-      // Rebuild the authoritative view records from the base.  A record's
-      // shard is the blob it came from — the signature routing that put it
-      // there is dictionary-independent, so it stays consistent.
+      // The base's views stay in the base: only their ids are collected.
+      // A view's shard is the blob it came from — the signature routing
+      // that put it there is dictionary-independent, so it stays consistent.
       const index::FrozenMvIndex& base = *shard_image.base;
-      std::vector<std::uint64_t> ids;
+      IdSet ids;
       for (std::uint32_t id = 0; id < base.num_entries(); ++id) {
         if (!base.alive(id)) continue;
-        for (std::uint64_t ext : base.external_ids(id)) {
-          ViewRecord record;
-          record.id = ext;
-          record.query = base.entry(id).canonical;
-          record.shard = static_cast<std::uint32_t>(s);
-          record.in_base = true;
-          view_pos_.emplace(ext, views_.size());
-          shard_records_[s].push_back(views_.size());
-          views_.push_back(std::move(record));
-          ++num_live_views_;
-          next_view_id_ = std::max(next_view_id_, ext + 1);
-          ids.push_back(ext);
-        }
+        const auto& external = base.external_ids(id);
+        ids.insert(ids.end(), external.begin(), external.end());
       }
       std::sort(ids.begin(), ids.end());
-      state.base_ids =
-          std::make_shared<const std::vector<std::uint64_t>>(std::move(ids));
+      num_live_views_ += ids.size();
+      if (!ids.empty()) next_view_id_ = std::max(next_view_id_, ids.back() + 1);
+      state.base_ids = std::make_shared<const IdSet>(std::move(ids));
       state.base = std::shared_ptr<const index::FrozenMvIndex>(
           std::move(shard_image.base));
       tier->base = state.base;
@@ -956,7 +948,7 @@ util::Status IndexManager::EnableJournal(const index::JournalOptions& options,
     if (journal_ != nullptr) {
       return util::Status::InvalidArgument("journal already enabled");
     }
-    if (num_staged_ != 0) {
+    if (!staged_.ops.empty()) {
       return util::Status::InvalidArgument(
           "EnableJournal with staged changes: publish or drop them first "
           "(staged intents predate the journal and would not be covered)");
@@ -1010,7 +1002,9 @@ util::Status IndexManager::ApplyReplay(const index::JournalBatch& batch) {
   for (const index::JournalOp& op : batch.ops) {
     if (op.kind == index::JournalOp::Kind::kAdd) {
       if (op.view.empty()) return mismatch("adds an empty view", op.view_id);
-      if (view_pos_.count(op.view_id) != 0) {
+      // Ids ascend in stage order, so an id below the next fresh one was
+      // already added, by the restored bases or earlier in the replay.
+      if (op.view_id < next_view_id_) {
         return mismatch("adds an existing view id", op.view_id);
       }
       StageAddLocked(op.view_id, op.view);

@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -208,15 +207,21 @@ struct IndexSnapshot {
 ///
 /// The regime is the one the paper's applications live in: probes vastly
 /// outnumber view-set changes, and a probe must never block behind an
-/// insert.  Writers batch Insert/Remove intents (StageAdd/StageRemove)
-/// against an authoritative view list and publish a new version in one
-/// atomic pointer swing; readers pin a version through a hazard-slot
-/// handshake and probe it lock-free.
+/// insert.  Writers batch Insert/Remove intents (StageAdd/StageRemove) and
+/// publish a new version in one atomic pointer swing; readers pin a version
+/// through a hazard-slot handshake and probe it lock-free.
+///
+/// The writer keeps view ids, not views.  A view's query lives in exactly
+/// one place: the staged batch until it is published, then its shard's
+/// delta entry, then (after a compaction) its shard's frozen base entry.
+/// Per shard the writer holds only sorted id sets — the base's ids and the
+/// pending delta ids and tombstones the next Publish bakes.
 ///
 /// Write path (sharded + tiered): StageAdd routes each view to shard
 /// AnchorSignature(view) % num_shards.  Publish rebuilds only the delta
-/// tiers of shards whose pending sets changed — O(dirty shards' staged
-/// views) — and shares every other shard tier by pointer.  A compaction
+/// tiers of shards whose pending sets changed, re-inserting the published
+/// delta's entries that stay plus the staged adds — O(dirty shards' deltas)
+/// — and shares every other shard tier by pointer.  A compaction
 /// (background task or explicit Refreeze) folds each dirty shard's
 /// base+delta into a new frozen base for that shard off the write path and
 /// publishes all of them through one swing.
@@ -360,8 +365,11 @@ class IndexManager {
   /// journal is rebased through W (records <= W dropped, later ones kept);
   /// a crash in between is harmless, as replay skips records by W.  Only
   /// blobs the last checkpoint at `path` did not commit are written, and
-  /// the ones it superseded are deleted.  The I/O runs off the writer
-  /// mutex: probes and publishes continue, compactions wait.
+  /// the ones it superseded are deleted.  Before this manager's first
+  /// checkpoint at a `path` it neither restored nor committed, the manifest
+  /// already there is read and every shard generation is raised above the
+  /// one it names, so no new blob overwrites a committed one.  The I/O runs
+  /// off the writer mutex: probes and publishes continue, compactions wait.
   [[nodiscard]] util::Status SaveTiered(const std::string& path)
       RDFC_EXCLUDES(mu_, compaction_mu_);
 
@@ -382,12 +390,12 @@ class IndexManager {
   /// here every Publish appends its batch to the journal *before* the
   /// snapshot swing, and a failed append aborts the publish
   /// transactionally.  A journal that does not continue right after the
-  /// watermark, a replayed add of an id already present, or a replayed
-  /// remove of an id that is not live means the journal and the checkpoint
-  /// disagree, and fails with Internal.  `checkpoint_path`
-  /// (optional) arms checkpoint-on-compaction: after each compaction that
-  /// folds anything, a checkpoint is written there, which rebases the
-  /// journal (DESIGN.md "Durability").
+  /// watermark, a replayed add of an id the bases hold or the replay saw
+  /// before, or a replayed remove of an id that is not live means the
+  /// journal and the checkpoint disagree, and fails with Internal.
+  /// `checkpoint_path` (optional) arms checkpoint-on-compaction: after each
+  /// compaction that folds anything, a checkpoint is written there, which
+  /// rebases the journal (DESIGN.md "Durability").
   ///
   /// Call once, during startup, after any RestoreTiered; the caller must be
   /// the sole dictionary writer for the duration (replay interns terms).
@@ -441,36 +449,21 @@ class IndexManager {
   }
 
  private:
-  struct ViewRecord {
-    std::uint64_t id = 0;
-    query::BgpQuery query;
-    std::uint32_t shard = 0;  // AnchorSignature(query) % num_shards
-    bool alive = true;
-    bool in_base = false;  // baked into its shard's current frozen base
-  };
-
   /// Writer-side mirror of one shard's tier state: the shared base, its id
   /// set, the pending delta/tombstone id sets the *next* Publish would bake
   /// (sorted), and the tier published in the current version.  Staging
-  /// updates the pending sets incrementally; a compaction swing rebuilds
-  /// them from the view records.
+  /// updates the pending sets incrementally; a compaction swing reconciles
+  /// them against the new base by set algebra.
   struct ShardState {
     std::shared_ptr<const index::FrozenMvIndex> base;
     std::shared_ptr<const std::vector<std::uint64_t>> base_ids;
     std::vector<std::uint64_t> pending_delta_ids;
     std::vector<std::uint64_t> pending_tombstones;
     /// The tier the current published snapshot holds for this shard; Publish
-    /// shares it when the pending sets match its id sets.
+    /// shares it when the pending sets match its id sets, and otherwise
+    /// rebuilds its delta from the entries that stay plus the staged adds.
     std::shared_ptr<const ShardTier> published;
     std::uint64_t generation = 0;  // refreezes (persistence blob naming)
-  };
-
-  /// One staged intent in stage order, for the journal record of the next
-  /// Publish.  Only the id is kept; add views are serialized from views_ at
-  /// append time.
-  struct StagedOp {
-    index::JournalOp::Kind kind = index::JournalOp::Kind::kAdd;
-    std::uint64_t id = 0;
   };
 
   /// True when shard `s`'s pending sets differ from its published tier (the
@@ -515,16 +508,10 @@ class IndexManager {
 
   /// Writes the current bases and base_watermark_ as a checkpoint at
   /// `path`, then rebases the journal through the watermark (see
-  /// SaveTiered).  Holding compaction_mu_ keeps the bases fixed while the
-  /// blobs are written off mu_.
+  /// SaveTiered).  Holding compaction_mu_ keeps the bases and generations
+  /// fixed while the manifest is read and the blobs are written off mu_.
   [[nodiscard]] util::Status WriteCheckpoint(const std::string& path)
       RDFC_EXCLUDES(mu_) RDFC_REQUIRES(compaction_mu_);
-
-  /// Recomputes shard `s`'s pending sets and its records' in_base flags
-  /// after the shard's base generation changed to `new_base_ids`.
-  void RebuildPendingLocked(std::size_t s,
-                            const std::vector<std::uint64_t>& new_base_ids)
-      RDFC_REQUIRES(mu_);
 
   /// Interned into by StageAdd/Publish; the dereference (not the pointer)
   /// rides the writer mutex — the dictionary's single-writer side.
@@ -534,22 +521,19 @@ class IndexManager {
   const std::size_t num_shards_;  // tier_.num_shards clamped
 
   mutable util::Mutex mu_;  // writer-side state below
-  /// Authoritative view list, ids ascending (StageAdd order).
-  std::vector<ViewRecord> views_ RDFC_GUARDED_BY(mu_);
-  /// external id -> position in views_ (O(1) StageRemove and delta builds).
-  std::unordered_map<std::uint64_t, std::size_t> view_pos_ RDFC_GUARDED_BY(mu_);
   std::size_t num_live_views_ RDFC_GUARDED_BY(mu_) = 0;
-  /// Intents since last Publish.
-  std::size_t num_staged_ RDFC_GUARDED_BY(mu_) = 0;
+  /// Ids ascend in stage order: every id below this one was staged, restored
+  /// or replayed before.
   std::uint64_t next_view_id_ RDFC_GUARDED_BY(mu_) = 1;
   std::uint64_t next_version_ RDFC_GUARDED_BY(mu_) = 0;
   /// Retained versions (current + reader-pinned).
   std::vector<std::unique_ptr<const IndexSnapshot>> versions_
       RDFC_GUARDED_BY(mu_);
 
-  /// Staged intents since the last Publish, in stage order (the journal
-  /// record of the next batch).  Cleared by every publish.
-  std::vector<StagedOp> staged_ops_ RDFC_GUARDED_BY(mu_);
+  /// Intents staged since the last Publish, in stage order; adds hold their
+  /// view, the only copy until the publish indexes it.  Publish appends this
+  /// batch to the journal as-is and then empties it.
+  index::JournalBatch staged_ RDFC_GUARDED_BY(mu_);
   /// Write-ahead journal; null until EnableJournal.  All access rides the
   /// writer mutex (the journal itself is not thread-safe).
   std::unique_ptr<index::WriteAheadJournal> journal_ RDFC_GUARDED_BY(mu_);
@@ -567,10 +551,6 @@ class IndexManager {
 
   /// One writer-side state per shard (size num_shards_).
   std::vector<ShardState> shards_ RDFC_GUARDED_BY(mu_);
-  /// Positions into views_ per shard (views_ only grows, so positions are
-  /// stable) — lets a compaction rebuild one shard's pending sets in
-  /// O(shard records) instead of sweeping every record.
-  std::vector<std::vector<std::size_t>> shard_records_ RDFC_GUARDED_BY(mu_);
   /// Per-shard lifetime refreeze counters (tier_stats).
   std::vector<std::uint64_t> shard_refreezes_ RDFC_GUARDED_BY(mu_);
 

@@ -123,6 +123,11 @@ TEST(NetServerTest, ExpiredOnArrivalDeadlineIsWireDeadlineExceeded) {
   const std::size_t kBusy = 4;
   ASSERT_TRUE(
       busy.SendRaw(ProbeFrames("ASK { ?a :p ?b . }", kBusy, 50'000)).ok());
+  // Send the short-deadline probe only once the busy group is queued, so it
+  // cannot reach the single worker ahead of it.
+  while (h.svc->Metrics().submitted < kBusy) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
 
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", h.server->port()).ok());

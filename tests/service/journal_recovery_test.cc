@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.h"
 #include "index/journal.h"
 #include "service/containment_service.h"
 #include "util/failpoint.h"
@@ -109,6 +110,33 @@ class JournalRecoveryTest : public ::testing::Test {
   void WriteJournal(const std::string& bytes) {
     std::ofstream out(journal_path_, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// Appends one journal record per entry of `batches` (each a list of
+  /// (kind, view id) ops; adds carry the same small view).
+  void AppendRecords(
+      const std::vector<std::vector<std::pair<index::JournalOp::Kind,
+                                              std::uint64_t>>>& batches) {
+    rdf::TermDictionary dict;
+    auto journal = index::WriteAheadJournal::Open(
+        Journal(journal_path_), &dict,
+        [](const index::JournalBatch&) { return util::Status::OK(); });
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    for (const auto& ops : batches) {
+      index::JournalBatch batch;
+      batch.sequence = journal.value()->next_sequence();
+      batch.version = batch.sequence;
+      for (const auto& [kind, id] : ops) {
+        index::JournalOp op;
+        op.kind = kind;
+        op.view_id = id;
+        if (kind == index::JournalOp::Kind::kAdd) {
+          op.view = rdfc::testing::ParseOrDie("ASK { ?x :p ?y . }", &dict);
+        }
+        batch.ops.push_back(std::move(op));
+      }
+      ASSERT_TRUE(journal.value()->Append(batch, dict).ok());
+    }
   }
 
   /// A restarted service: the checkpoint restored, then the journal.
@@ -490,6 +518,45 @@ TEST_F(JournalRecoveryTest, ReplayRejectsRecordsTheCheckpointAlreadyHolds) {
   ASSERT_TRUE(svc.manager().RestoreTiered(snapshot_path_).ok());
   EXPECT_EQ(svc.EnableJournal(Journal(journal_path_)).code(),
             util::StatusCode::kInternal);
+}
+
+TEST_F(JournalRecoveryTest, ReplayRejectsReAddedIds) {
+  // Replay must stay strict: an add of an id that the restored bases hold,
+  // or that the replay itself added and removed, is a journal that
+  // disagrees with the checkpoint, not a view to index again.
+  using Kind = index::JournalOp::Kind;
+  {
+    // The control: removing an added id and adding a fresh one replays.
+    AppendRecords({{{Kind::kAdd, 1}}, {{Kind::kRemove, 1}, {Kind::kAdd, 2}}});
+    ContainmentService svc(TestOptions());
+    ASSERT_TRUE(svc.EnableJournal(Journal(journal_path_)).ok());
+    EXPECT_EQ(svc.manager().num_live_views(), 1u);
+  }
+  CleanFiles();
+  {
+    // Re-adding an id removed earlier in the same replay.
+    AppendRecords({{{Kind::kAdd, 1}}, {{Kind::kRemove, 1}}, {{Kind::kAdd, 1}}});
+    ContainmentService svc(TestOptions());
+    EXPECT_EQ(svc.EnableJournal(Journal(journal_path_)).code(),
+              util::StatusCode::kInternal);
+  }
+  CleanFiles();
+  {
+    // Re-adding an id the restored bases hold: the checkpoint covers
+    // sequence 1, and record 2 adds its view id again.
+    {
+      ContainmentService svc(TestOptions());
+      ASSERT_TRUE(svc.EnableJournal(Journal(journal_path_)).ok());
+      ASSERT_TRUE(svc.AddView("ASK { ?x :p ?y . }").ok());
+      ASSERT_TRUE(svc.Publish().ok());
+      ASSERT_TRUE(svc.manager().SaveTiered(snapshot_path_).ok());
+    }
+    AppendRecords({{{Kind::kAdd, 1}}});
+    ContainmentService svc(TestOptions());
+    ASSERT_TRUE(svc.manager().RestoreTiered(snapshot_path_).ok());
+    EXPECT_EQ(svc.EnableJournal(Journal(journal_path_)).code(),
+              util::StatusCode::kInternal);
+  }
 }
 
 }  // namespace

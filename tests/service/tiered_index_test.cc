@@ -322,6 +322,65 @@ TEST_F(TieredIndexTest, StageRemoveDuringCompactionOfDeltaOnlyView) {
   ExpectEquivalence(manager, slot, live, "delta-resident removal");
 }
 
+TEST_F(TieredIndexTest, StagedChangesSurviveCompactionThatKeepsDelta) {
+  // A shard whose delta carries views across a compaction (published while
+  // the fold was building) and which holds a staged add and staged removes
+  // at the swing: the next Publish must rebuild its delta from the carried
+  // entries that stay plus the staged add, and tombstone the staged removal
+  // of a folded view.
+  TierOptions tier;
+  tier.background_compaction = false;
+  tier.num_shards = 1;
+  IndexManager manager(&dict_, {}, tier);
+  const std::size_t slot = manager.RegisterReader();
+
+  std::map<std::uint64_t, query::BgpQuery> live;
+  auto add = [&](std::size_t i) {
+    const query::BgpQuery view = Q(ViewText(i));
+    auto id = manager.StageAdd(view);
+    EXPECT_TRUE(id.ok());
+    live.emplace(*id, view);
+    return *id;
+  };
+  const std::uint64_t folded = add(0);
+  add(1);
+  ASSERT_TRUE(manager.Publish().ok());
+
+  std::uint64_t carried_removed = 0;
+  manager.set_compaction_hook([&] {
+    carried_removed = add(2);
+    add(3);
+    ASSERT_TRUE(manager.Publish().ok());
+    add(5);
+    ASSERT_TRUE(manager.StageRemove(carried_removed).ok());
+    live.erase(carried_removed);
+    ASSERT_TRUE(manager.StageRemove(folded).ok());
+    live.erase(folded);
+  });
+  ASSERT_TRUE(manager.Refreeze().ok());
+  manager.set_compaction_hook(nullptr);
+  EXPECT_EQ(manager.num_staged_changes(), 3u);
+  {
+    IndexManager::ReadGuard guard = manager.Acquire(slot);
+    EXPECT_EQ(guard->num_base_views(), 2u);
+    EXPECT_EQ(guard->num_delta_views(), 2u);
+    EXPECT_EQ(guard->num_tombstones(), 0u);
+  }
+
+  ASSERT_TRUE(manager.Publish().ok());
+  EXPECT_EQ(manager.num_staged_changes(), 0u);
+  {
+    IndexManager::ReadGuard guard = manager.Acquire(slot);
+    EXPECT_EQ(guard->num_base_views(), 2u);
+    EXPECT_EQ(guard->num_delta_views(), 2u);
+    EXPECT_TRUE(guard->IsTombstoned(folded));
+    EXPECT_FALSE(guard->IsTombstoned(carried_removed));
+  }
+  ExpectEquivalence(manager, slot, live, "after publish");
+  ASSERT_TRUE(manager.Refreeze().ok());
+  ExpectEquivalence(manager, slot, live, "after second refreeze");
+}
+
 TEST_F(TieredIndexTest, DegradedTieredProbeOnlyUnderReports) {
   // An exhausted budget must cut the merged walk short, never corrupt it:
   // contained stays a subset of the truth, filter_complete goes false, and
@@ -630,8 +689,9 @@ TEST_F(TieredPersistenceTest, FailedCheckpointLeavesNoOrphanBlobs) {
   IndexManager restored(&dict3, {}, tier);
   ASSERT_TRUE(restored.RestoreTiered(path_).ok());
 
-  // A manager that does not know the committed manifest writes a blob of
-  // the same name; the failed save must leave that blob in place.
+  // A manager that does not know the committed manifest reads it and
+  // writes above its generation; the failed save must leave the committed
+  // blob in place.
   rdf::TermDictionary dict2;
   IndexManager other(&dict2, {}, tier);
   ASSERT_TRUE(other.StageAdd(ParseOrDie(ViewText(2), &dict2)).ok());
@@ -644,6 +704,104 @@ TEST_F(TieredPersistenceTest, FailedCheckpointLeavesNoOrphanBlobs) {
   // With the obstacle gone the next save goes through.
   ASSERT_TRUE(manager.SaveTiered(path_).ok());
   EXPECT_EQ(blobs_on_disk(), std::vector<std::string>{path_ + ".base.0.2"});
+}
+
+TEST_F(TieredPersistenceTest, FreshManagerNeverOverwritesCommittedBlob) {
+  // Manager A commits view urn:a at generation 1.  A fresh manager B, at
+  // generation 1 too, checkpoints urn:b to the same path and fails before
+  // its manifest commits: the committed manifest must still restore urn:a,
+  // so B's blob must not have replaced A's.
+  TierOptions tier;
+  tier.background_compaction = false;
+  tier.num_shards = 1;
+  const std::string tmp_dir = path_ + ".tmp";
+  std::map<std::uint64_t, query::BgpQuery> live_a;
+  {
+    IndexManager a(&dict_, {}, tier);
+    const query::BgpQuery view = Q("ASK { ?x <urn:a> ?y . }");
+    auto id = a.StageAdd(view);
+    ASSERT_TRUE(id.ok());
+    live_a.emplace(*id, view);
+    ASSERT_TRUE(a.Publish().ok());
+    ASSERT_TRUE(a.Refreeze().ok());  // generation 1
+    ASSERT_TRUE(a.SaveTiered(path_).ok());
+  }
+  {
+    rdf::TermDictionary dict_b;
+    IndexManager b(&dict_b, {}, tier);
+    ASSERT_TRUE(
+        b.StageAdd(ParseOrDie("ASK { ?x <urn:b> ?y . }", &dict_b)).ok());
+    ASSERT_TRUE(b.Publish().ok());
+    ASSERT_TRUE(b.Refreeze().ok());  // generation 1, like A's
+    ASSERT_TRUE(std::filesystem::create_directory(tmp_dir));
+    EXPECT_FALSE(b.SaveTiered(path_).ok());
+    std::filesystem::remove(tmp_dir);
+  }
+  rdf::TermDictionary dict2;
+  IndexManager restored(&dict2, {}, tier);
+  ASSERT_TRUE(restored.RestoreTiered(path_).ok());
+  const std::size_t slot = restored.RegisterReader();
+  IndexManager::ReadGuard guard = restored.Acquire(slot);
+  EXPECT_EQ(guard->num_views, 1u);
+  for (const char* text :
+       {"ASK { ?s <urn:a> ?o . }", "ASK { ?s <urn:b> ?o . }"}) {
+    EXPECT_EQ(ProbeIds(guard, ParseOrDie(text, &dict2)),
+              OracleIds(live_a, &dict_, Q(text)))
+        << "restored probe: " << text;
+  }
+}
+
+TEST_F(TieredPersistenceTest, CheckpointOverWiderManifestDropsItsBlobs) {
+  // A checkpoint over a manifest with more shards supersedes every blob
+  // that manifest names, including those of shards it does not have.
+  TierOptions wide;
+  wide.background_compaction = false;
+  wide.num_shards = 4;
+  TierOptions narrow = wide;
+  narrow.num_shards = 2;
+  auto has_blobs = [this](std::size_t shard) {
+    for (std::uint64_t gen = 0; gen < 8; ++gen) {
+      if (std::filesystem::exists(path_ + ".base." + std::to_string(shard) +
+                                  "." + std::to_string(gen))) {
+        return true;
+      }
+    }
+    return false;
+  };
+  {
+    IndexManager manager(&dict_, {}, wide);
+    for (std::size_t i = 0; i < 12; ++i) {
+      ASSERT_TRUE(manager.StageAdd(Q(ViewText(i))).ok());
+    }
+    ASSERT_TRUE(manager.Publish().ok());
+    ASSERT_TRUE(manager.SaveTiered(path_).ok());
+  }
+  ASSERT_TRUE(has_blobs(2) || has_blobs(3));
+
+  rdf::TermDictionary dict2;
+  std::map<std::uint64_t, query::BgpQuery> live;
+  {
+    IndexManager manager(&dict2, {}, narrow);
+    const query::BgpQuery view = ParseOrDie(ViewText(0), &dict2);
+    auto id = manager.StageAdd(view);
+    ASSERT_TRUE(id.ok());
+    live.emplace(*id, Q(ViewText(0)));
+    ASSERT_TRUE(manager.Publish().ok());
+    ASSERT_TRUE(manager.SaveTiered(path_).ok());
+  }
+  EXPECT_FALSE(has_blobs(2));
+  EXPECT_FALSE(has_blobs(3));
+  rdf::TermDictionary dict3;
+  IndexManager restored(&dict3, {}, narrow);
+  ASSERT_TRUE(restored.RestoreTiered(path_).ok());
+  const std::size_t slot = restored.RegisterReader();
+  IndexManager::ReadGuard guard = restored.Acquire(slot);
+  EXPECT_EQ(guard->num_views, 1u);
+  for (const std::string& text : ProbeTexts()) {
+    EXPECT_EQ(ProbeIds(guard, ParseOrDie(text, &dict3)),
+              OracleIds(live, &dict_, Q(text)))
+        << "restored probe: " << text;
+  }
 }
 
 TEST_F(TieredPersistenceTest, RestoreRequiresFreshManager) {
